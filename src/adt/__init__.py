@@ -105,7 +105,6 @@ from .skorokhod import (
     quantile_map,
 )
 from .transport import (
-    CostMatrix,
     NestedDistanceTable,
     StageEntry,
     TransportPlan,
@@ -135,7 +134,7 @@ __all__ = [
     "is_markov", "is_lipschitz_markov", "LipschitzMarkovReport",
     "admits_adapted_map", "subtree_process",
     # transport
-    "CostMatrix", "TransportPlan", "ot_solve", "StageEntry",
+    "TransportPlan", "ot_solve", "StageEntry",
     "NestedDistanceTable", "aw_distance", "wasserstein_paths",
     "random_bicausal_cost", "information_lift_contraction_ratio",
     # couplings

@@ -82,12 +82,6 @@ class NestedAtom:
             self._key = (self.value, tuple((child.sort_key, w) for child, w in self.law))
         return self._key
 
-    def successor_measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure(
-            atoms=tuple(child for child, _ in self.law),
-            weights=tuple(w for _, w in self.law),
-        )
-
     def __repr__(self):
         head = ",".join(str(v) for v in self.value)
         if not self.law:

@@ -488,7 +488,10 @@ def non_coexistence_fixture(n: int, k: int) -> FixtureResult:
     and its indicator-free limit.  The plain transport cost between them is
     the segment's grid mass exactly — every unit of indicator mass must pay
     one in the second coordinate, and the diagonal plan attains that — while
-    any plan displacing a grid point pays strictly more.  Sweeping n, the
+    any plan displacing a grid point pays strictly more.  That optimum is
+    unique: moving path i to path j costs |m_i - m_j| + flip_i, every
+    coupling pays the same total flip, and the move cost vanishes only on the
+    diagonal, so every optimal plan is the diagonal one.  Sweeping n, the
     segments eventually cover the whole circle, which is why no single
     realization can be pathwise optimal for every n at once.
     """
@@ -537,7 +540,8 @@ def non_coexistence_fixture(n: int, k: int) -> FixtureResult:
         cost = [
             [path_cost(x, y, process.config) for y in nu.atoms] for x in mu.atoms
         ]
-        ot_value, plan = ot_solve(mu.weights, nu.weights, cost, canonical=True)
+        # every plan pays the same total flip and only the diagonal moves nothing
+        ot_value, plan = ot_solve(mu.weights, nu.weights, cost)
         ot_plan_diagonal = all(
             mu.atoms[i][0] == nu.atoms[j][0] for i, j, _ in plan.support
         )

@@ -32,7 +32,6 @@ from .process_model import (
 )
 
 __all__ = [
-    "CostMatrix",
     "TransportPlan",
     "ot_solve",
     "NestedDistanceTable",
@@ -42,38 +41,6 @@ __all__ = [
     "random_bicausal_cost",
     "information_lift_contraction_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Rectangular nonnegative cost matrix."""
-
-    entries: tuple[tuple, ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise SolverError("cost matrix must have at least one row")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise SolverError("cost matrix rows have unequal lengths")
-            for c in row:
-                if c < 0:
-                    raise SolverError(f"negative cost {c}")
-        if width == 0:
-            raise SolverError("cost matrix must have at least one column")
-
-    @classmethod
-    def build(cls, rows: Sequence[Sequence]) -> "CostMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.entries[0])
 
 
 @dataclass(frozen=True)
@@ -109,28 +76,17 @@ def _as_weights(marginal) -> list:
     return list(marginal)
 
 
-def _as_cost_rows(cost) -> list[list]:
-    if isinstance(cost, CostMatrix):
-        return [list(r) for r in cost.entries]
-    return [list(r) for r in cost]
-
-
-def ot_solve(mu, nu, cost, *, canonical: bool = False):
+def ot_solve(mu, nu, cost):
     """Solve the discrete transport problem exactly.
 
     ``mu`` and ``nu`` are weight sequences (or DiscreteMeasures) with equal
     totals; ``cost`` is a matrix indexed [row][col].  Returns
     ``(value, TransportPlan)``.  With rational costs the value and plan are
     exact; float costs fall back to a small pivot tolerance.
-
-    ``canonical=True`` additionally normalizes the returned plan to the
-    row-major greedy-maximal optimal plan (each cell, visited row-major,
-    carries the largest mass any optimal plan can put there given the cells
-    already fixed), which pins the output down independent of pivot order.
     """
     a = _as_weights(mu)
     b = _as_weights(nu)
-    rows = _as_cost_rows(cost)
+    rows = [list(r) for r in cost]
     if len(rows) != len(a) or any(len(r) != len(b) for r in rows):
         raise SolverError(
             f"cost matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not match "
@@ -157,9 +113,7 @@ def ot_solve(mu, nu, cost, *, canonical: bool = False):
     exact = all(isinstance(c, Fraction) for row in sub_cost for c in row)
     tol = Fraction(0) if exact else 1e-12
 
-    masses, basis = _simplex(sub_a, sub_b, sub_cost, tol)
-    if canonical:
-        masses = _canonical_plan(sub_a, sub_b, sub_cost, masses, basis, tol)
+    masses = _simplex(sub_a, sub_b, sub_cost, tol)
 
     value = sum(
         (sub_cost[i][j] * w for (i, j), w in masses.items() if w != 0),
@@ -176,7 +130,7 @@ def ot_solve(mu, nu, cost, *, canonical: bool = False):
 
 
 def _simplex(a, b, cost, tol):
-    """Transportation simplex with Bland's rule; returns (masses, basis)."""
+    """Transportation simplex with Bland's rule; returns the basic masses."""
     m, n = len(a), len(b)
     masses: dict[tuple[int, int], Fraction] = {}
     basis: set[tuple[int, int]] = set()
@@ -212,7 +166,7 @@ def _simplex(a, b, cost, tol):
             if entering:
                 break
         if entering is None:
-            return masses, basis
+            return masses
         cycle = _basis_cycle(entering, basis)
         # odd positions give up mass
         theta = None
@@ -254,31 +208,11 @@ def _potentials(m, n, cost, basis):
                 if u[i] is None:
                     u[i] = cost[i][idx] - v[idx]
                     stack.append(("r", i))
-    # a degenerate basis can momentarily disconnect; anchor stray components
-    for i in range(m):
-        if u[i] is None:
-            u[i] = u[0] * 0
-            stack = [("r", i)]
-            while stack:
-                kind, idx = stack.pop()
-                if kind == "r":
-                    for j in adj_row.get(idx, ()):
-                        if v[j] is None:
-                            v[j] = cost[idx][j] - u[idx]
-                            stack.append(("c", j))
-                else:
-                    for k in adj_col.get(idx, ()):
-                        if u[k] is None:
-                            u[k] = cost[k][idx] - v[idx]
-                            stack.append(("r", k))
-    for j in range(n):
-        if v[j] is None:
-            v[j] = u[0] * 0
     return u, v
 
 
 def _basis_cycle(entering, basis):
-    """The unique cycle created by adding ``entering`` to the basis forest,
+    """The unique cycle created by adding ``entering`` to the basis tree,
     listed as cells starting with ``entering`` and alternating +/- positions."""
     ei, ej = entering
     # path from row ei to col ej through basis edges
@@ -311,163 +245,6 @@ def _basis_cycle(entering, basis):
         else:
             cells.append((bnode[1], a[1]))
     return cells
-
-
-def _canonical_plan(a, b, cost, masses, basis, tol):
-    """Deterministic optimal plan: row-major greedy maximal mass on the
-    optimal face (cells with zero reduced cost)."""
-    m, n = len(a), len(b)
-    u, v = _potentials(m, n, cost, basis)
-    if tol == 0:
-        face = [(i, j) for i in range(m) for j in range(n) if cost[i][j] - u[i] - v[j] == 0]
-    else:
-        face = [
-            (i, j)
-            for i in range(m)
-            for j in range(n)
-            if abs(cost[i][j] - u[i] - v[j]) <= 1e-9
-        ]
-    rem_a = list(a)
-    rem_b = list(b)
-    fixed: dict[tuple[int, int], Fraction] = {}
-    for idx, cell in enumerate(face):
-        allowed = face[idx + 1 :]
-        w = _max_assignable(cell, allowed, rem_a, rem_b)
-        if w > 0:
-            fixed[cell] = w
-            rem_a[cell[0]] -= w
-            rem_b[cell[1]] -= w
-    if any(x != 0 for x in rem_a) or any(x != 0 for x in rem_b):
-        raise SolverError("plan canonicalization failed to exhaust marginals")
-    return fixed
-
-
-def _max_assignable(cell, allowed, rem_a, rem_b):
-    """Largest mass placeable on ``cell`` such that the remaining marginals
-    still route through ``allowed`` cells: a tiny max-flow argument."""
-    i0, j0 = cell
-    cap = min(rem_a[i0], rem_b[j0])
-    if cap == 0:
-        return cap
-    # feasible flow on allowed + cell, then push as much as possible onto cell
-    edges = list(allowed) + [cell]
-    flow = _feasible_flow(rem_a, rem_b, edges)
-    # augment along cycles j0 -> ... -> i0 to raise flow[cell]
-    while True:
-        path = _augmenting_path(flow, edges, j0, i0, cell)
-        if path is None:
-            break
-        theta = min(flow[(path[k + 1], path[k])] for k in range(0, len(path) - 1, 2))
-        # path alternates col, row, col, row ... starting at j0, ending at i0
-        for k in range(len(path) - 1):
-            if k % 2 == 0:  # backward arc col->row consumes flow (row, col)
-                flow[(path[k + 1], path[k])] -= theta
-            else:  # forward arc row->col adds flow
-                key = (path[k], path[k + 1])
-                flow[key] = flow.get(key, Fraction(0)) + theta
-        flow[cell] = flow.get(cell, Fraction(0)) + theta
-    return flow.get(cell, Fraction(0))
-
-
-def _feasible_flow(rem_a, rem_b, edges):
-    """Any routing of the remaining marginals over the allowed edges
-    (Edmonds-Karp on the bipartite graph); raises if none exists."""
-    m, n = len(rem_a), len(rem_b)
-    source, sink = ("s",), ("t",)
-    capacity: dict = {}
-    for i, w in enumerate(rem_a):
-        if w > 0:
-            capacity[(source, ("r", i))] = w
-    for j, w in enumerate(rem_b):
-        if w > 0:
-            capacity[(("c", j), sink)] = w
-    total = sum(rem_a)
-    for i, j in edges:
-        capacity[(("r", i), ("c", j))] = total
-    flow: dict = {k: Fraction(0) for k in capacity}
-    adj: dict = {}
-    for tail, head in capacity:
-        adj.setdefault(tail, []).append(head)
-        adj.setdefault(head, []).append(tail)
-    pushed = Fraction(0)
-    while True:
-        prev = {source: None}
-        queue = [source]
-        while queue and sink not in prev:
-            node = queue.pop(0)
-            for nxt in adj.get(node, ()):
-                if nxt in prev:
-                    continue
-                fwd = capacity.get((node, nxt), Fraction(0)) - flow.get((node, nxt), Fraction(0))
-                bwd = flow.get((nxt, node), Fraction(0))
-                if fwd > 0 or bwd > 0:
-                    prev[nxt] = node
-                    queue.append(nxt)
-        if sink not in prev:
-            break
-        # bottleneck
-        theta = None
-        node = sink
-        while prev[node] is not None:
-            tail = prev[node]
-            fwd = capacity.get((tail, node), Fraction(0)) - flow.get((tail, node), Fraction(0))
-            avail = fwd if fwd > 0 else flow.get((node, tail), Fraction(0))
-            theta = avail if theta is None else min(theta, avail)
-            node = tail
-        node = sink
-        while prev[node] is not None:
-            tail = prev[node]
-            if capacity.get((tail, node), Fraction(0)) - flow.get((tail, node), Fraction(0)) > 0:
-                flow[(tail, node)] = flow.get((tail, node), Fraction(0)) + theta
-            else:
-                flow[(node, tail)] -= theta
-            node = tail
-        pushed += theta
-    if pushed != total:
-        raise SolverError("optimal face lost feasibility during canonicalization")
-    plan: dict[tuple[int, int], Fraction] = {}
-    for (tail, head), w in flow.items():
-        if w > 0 and isinstance(tail, tuple) and tail[0] == "r" and head[0] == "c":
-            plan[(tail[1], head[1])] = w
-    return plan
-
-
-def _augmenting_path(flow, edges, j0, i0, banned_cell):
-    """BFS for a col j0 -> row i0 alternating path in the residual graph,
-    never traversing ``banned_cell`` backwards.  Returns the node sequence
-    [j0, i1, j1, ..., i0] or None."""
-    cols_to_rows: dict[int, list[int]] = {}
-    rows_to_cols: dict[int, list[int]] = {}
-    for (i, j), w in flow.items():
-        if w > 0 and (i, j) != banned_cell:
-            cols_to_rows.setdefault(j, []).append(i)
-    for i, j in edges:
-        rows_to_cols.setdefault(i, []).append(j)
-    prev: dict = {("c", j0): None}
-    queue = [("c", j0)]
-    goal = ("r", i0)
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        kind, idx = node
-        if kind == "c":
-            for i in cols_to_rows.get(idx, ()):  # backward arcs need flow
-                if ("r", i) not in prev:
-                    prev[("r", i)] = node
-                    queue.append(("r", i))
-        else:
-            for j in rows_to_cols.get(idx, ()):  # forward arcs are free
-                if ("c", j) not in prev:
-                    prev[("c", j)] = node
-                    queue.append(("c", j))
-    if goal not in prev:
-        return None
-    path = [goal]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return [idx for _, idx in path]
 
 
 # -- nested distance -----------------------------------------------------------

@@ -267,7 +267,7 @@ class TestFixture:
             assert analysis.perturbed_cost == analysis.w1 + F(2, k * k)
 
     def test_solver_cross_check_on_small_grids(self):
-        for n, k in [(2, 12), (3, 12), (4, 60), (2, 8)]:
+        for n, k in [(2, 12), (3, 12), (4, 60), (2, 8), (3, 10), (5, 7), (4, 80)]:
             analysis = non_coexistence_fixture(n, k).analysis
             assert analysis.ot_value is not None
             assert analysis.ot_value == analysis.w1
