@@ -14,11 +14,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 from .canonical import (
     CanonicalForm,
-    InformationResult,
     NestedAtom,
     information_process,
 )
@@ -81,8 +81,9 @@ def ot_solve(mu, nu, cost):
 
     ``mu`` and ``nu`` are weight sequences (or DiscreteMeasures) with equal
     totals; ``cost`` is a matrix indexed [row][col].  Returns
-    ``(value, TransportPlan)``.  With rational costs the value and plan are
-    exact; float costs fall back to a small pivot tolerance.
+    ``(value, TransportPlan)``.  With rational costs (``int`` or
+    ``Fraction``) the value and plan are exact; float costs fall back to a
+    small pivot tolerance.
     """
     a = _as_weights(mu)
     b = _as_weights(nu)
@@ -99,7 +100,7 @@ def ot_solve(mu, nu, cost):
     if any(w < 0 for w in a) or any(w < 0 for w in b):
         raise SolverError("marginal weights must be nonnegative")
     if sum(a) != sum(b):
-        exact = all(isinstance(w, Fraction) for w in a + b)
+        exact = all(isinstance(w, Rational) for w in a + b)
         if exact or abs(float(sum(a)) - float(sum(b))) > 1e-12:
             raise SolverError(f"marginal totals differ: {sum(a)} vs {sum(b)}")
 
@@ -110,7 +111,7 @@ def ot_solve(mu, nu, cost):
     sub_a = [a[i] for i in live_rows]
     sub_b = [b[j] for j in live_cols]
     sub_cost = [[rows[i][j] for j in live_cols] for i in live_rows]
-    exact = all(isinstance(c, Fraction) for row in sub_cost for c in row)
+    exact = all(isinstance(c, Rational) for row in sub_cost for c in row)
     tol = Fraction(0) if exact else 1e-12
 
     masses = _simplex(sub_a, sub_b, sub_cost, tol)
@@ -378,13 +379,6 @@ def wasserstein_paths(a: FilteredTree, b: FilteredTree):
 # -- compositional coupling oracle ----------------------------------------------
 
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 def random_bicausal_cost(
     a: FilteredTree, b: FilteredTree, seed: int, samples: int
 ) -> list:
@@ -393,146 +387,94 @@ def random_bicausal_cost(
     between successor laws for every matched atom pair.
 
     Sample 0 composes the stage-optimal plans (its cost equals the adapted
-    distance exactly), sample 1 composes independent product plans, and the
-    remainder are random transport vertices.  Every value is an exact upper
-    bound for ``aw_distance``; in weak mode costs follow the same clipped
-    convention as ``aw_distance`` so the bound stays valid.
+    distance), sample 1 composes independent product plans, and the
+    remainder are random transport vertices.  Every value is an upper bound
+    for ``aw_distance``.
+
+    For integer p and in weak mode the costs are exact ``Fraction``s.  The
+    walk then runs on plain ints: probabilities are integers over D, the lcm
+    of all law denominators; plan weights are integers over S = D*D; stage
+    costs are integers over V = L^p, with L the lcm of the value
+    denominators (V = L in weak mode).  A level-t cost is an integer over
+    V * S^(N-t), and one ``Fraction`` is built per sample.  Weak-mode costs
+    are clipped at 1, as in ``aw_distance``, so the bound stays valid.
+
+    For non-integer p the costs are floats and only approximate: stage
+    costs are floats and each integer plan weight w enters as w / S, with no
+    S^N scaling, which would overflow a float.
     """
     if samples < 1:
         raise SolverError("samples must be >= 1")
     a.config.require_same_shape(b.config, "random_bicausal_cost")
     cfg = a.config
-    value, table = aw_distance(a, b)
     form_a = information_process(a).form
     form_b = information_process(b).form
-    if not cfg.exact_costs:
-        return _random_costs_float(cfg, form_a, form_b, table, seed, samples)
-
-    levels_a = form_a.levels()
-    levels_b = form_b.levels()
+    _, table = _aw_from_forms(cfg, form_a, form_b)
     n = cfg.num_steps
+    exact = cfg.exact_costs
 
-    # Integer rescaling: all probabilities become integers over D, plans over
-    # S = D*D, stage costs over V.  The recursion then runs on plain ints.
-    denoms = [w.denominator for _, w in form_a.law] + [w.denominator for _, w in form_b.law]
-    for levels in (levels_a, levels_b):
-        for level in levels:
-            for atom in level:
-                denoms.extend(w.denominator for _, w in atom.law)
-    scale_d = _lcm(denoms)
+    # the canonical laws are the successor laws of two value-less time-0
+    # roots; they are local to this walk and never interned
+    root = (NestedAtom((), form_a.law, 0), NestedAtom((), form_b.law, 0))
+    levels = [{root: StageEntry(cost=0, plan=table.root_plan)}, *table.levels]
+    atoms = {x for level in levels for pair in level for x in pair}
+
+    scale_d = math.lcm(*(w.denominator for x in atoms for _, w in x.law))
     scale_s = scale_d * scale_d
+    laws = {x: [(u, int(w * scale_d)) for u, w in x.law] for x in atoms}
+    plans = {
+        pair: [(u, v, int(w * scale_s)) for u, v, w in entry.plan]
+        for level in levels[:-1]
+        for pair, entry in level.items()
+    }
+    if exact:
+        scale_l = math.lcm(*(c.denominator for x in atoms for c in x.value))
+        scale_v = scale_l ** (1 if cfg.is_weak else cfg.order.numerator)
+    stage = {}
+    for t, level in enumerate(levels):
+        for x, y in level:
+            cost = cfg.step_cost(x.value, y.value)
+            stage[(x, y)] = (
+                int(cost * scale_v) * scale_s ** (n - t) if exact else float(cost)
+            )
 
-    index_a = [{atom: k for k, atom in enumerate(level)} for level in levels_a]
-    index_b = [{atom: k for k, atom in enumerate(level)} for level in levels_b]
-
-    cost_denoms = []
-    stage_int: list[dict] = []
-    for t in range(1, n + 1):
-        raw = {}
-        for ia, alpha in enumerate(levels_a[t - 1]):
-            for ib, beta in enumerate(levels_b[t - 1]):
-                raw[(ia, ib)] = cfg.step_cost(alpha.value, beta.value)
-        cost_denoms.extend(c.denominator for c in raw.values())
-        stage_int.append(raw)
-    scale_v = _lcm(cost_denoms)
-    for t in range(n):
-        stage_int[t] = {
-            key: int(c * scale_v) for key, c in stage_int[t].items()
-        }
-
-    # successor laws as integer weights over D, indexed by next-level position
-    def law_ints(levels, index, side_levels):
-        out = []
-        for t in range(n - 1):
-            per_atom = []
-            for atom in levels[t]:
-                per_atom.append(
-                    [(index[t + 1][child], int(w * scale_d)) for child, w in atom.law]
-                )
-            out.append(per_atom)
-        return out
-
-    laws_a = law_ints(levels_a, index_a, levels_a)
-    laws_b = law_ints(levels_b, index_b, levels_b)
-    top_a = [(index_a[0][atom], int(w * scale_d)) for atom, w in form_a.law]
-    top_b = [(index_b[0][atom], int(w * scale_d)) for atom, w in form_b.law]
-
-    # optimal stage plans from the table, rescaled to integers over S
-    optimal_plans: list[dict] = [dict() for _ in range(n)]
-    for t in range(1, n):
-        for (alpha, beta), entry in table.levels[t - 1].items():
-            cells = [
-                (index_a[t][x], index_b[t][y], int(w * scale_s))
-                for x, y, w in entry.plan
-            ]
-            optimal_plans[t - 1][(index_a[t - 1][alpha], index_b[t - 1][beta])] = cells
-    optimal_top = [
-        (index_a[0][x], index_b[0][y], int(w * scale_s)) for x, y, w in table.root_plan
-    ]
-
-    pow_s = [scale_s**k for k in range(n + 1)]
     rng = random.Random(seed)
     results = []
-    denominator = scale_v * pow_s[n]
-
     for sample in range(samples):
-        memo: list[dict] = [dict() for _ in range(n)]
+        memo: dict = {}
 
-        def plan_for(t, ia, ib, row_law, col_law):
+        def plan_for(x, y):
             if sample == 0:
-                return optimal_plans[t][(ia, ib)]
+                return plans[(x, y)]
             if sample == 1:
-                return [
-                    (ra, cb, wa * wb) for ra, wa in row_law for cb, wb in col_law
-                ]
+                return [(u, v, wu * wv) for u, wu in laws[x] for v, wv in laws[y]]
             # weights enter scaled by D; the greedy then emits plans scaled by S
             return _random_vertex(
-                [(ra, wa * scale_d) for ra, wa in row_law],
-                [(cb, wb * scale_d) for cb, wb in col_law],
+                [(u, w * scale_d) for u, w in laws[x]],
+                [(v, w * scale_d) for v, w in laws[y]],
                 rng,
             )
 
-        def cost_at(t, ia, ib):
-            # scaled by V * S^(n-1-t) ... with t zero-based time index
-            key = (ia, ib)
-            hit = memo[t].get(key)
-            if hit is not None:
-                return hit
-            stage = stage_int[t][key] * pow_s[n - 1 - t]
-            if t == n - 1:
-                memo[t][key] = stage
-                return stage
-            total = stage
-            for ja, jb, w in plan_for(
-                t, ia, ib, laws_a[t][ia], laws_b[t][ib]
-            ):
-                if w:
-                    total += w * cost_at(t + 1, ja, jb)
-            memo[t][key] = total
+        def cost_at(x, y):
+            total = memo.get((x, y))
+            if total is None:
+                total = stage[(x, y)]
+                if x.law:
+                    for u, v, w in plan_for(x, y):
+                        total += (w if exact else w / scale_s) * cost_at(u, v)
+                memo[(x, y)] = total
             return total
 
-        if sample == 0:
-            top_plan = optimal_top
-        elif sample == 1:
-            top_plan = [(ra, cb, wa * wb) for ra, wa in top_a for cb, wb in top_b]
-        else:
-            top_plan = _random_vertex(
-                [(ra, wa * scale_d) for ra, wa in top_a],
-                [(cb, wb * scale_d) for cb, wb in top_b],
-                rng,
-            )
-        total = 0
-        for ia, ib, w in top_plan:
-            if w:
-                total += w * cost_at(0, ia, ib)
-        sampled = Fraction(total, denominator)
-        if cfg.is_weak and sampled > 1:
-            sampled = Fraction(1)
-        results.append(sampled)
+        total = cost_at(*root)
+        if exact:
+            total = Fraction(total, scale_v * scale_s**n)
+            if cfg.is_weak and total > 1:
+                total = Fraction(1)
+        results.append(total)
     return results
 
 
-def _random_vertex(row_law, col_law, rng) -> list[tuple[int, int, int]]:
+def _random_vertex(row_law, col_law, rng) -> list[tuple[object, object, int]]:
     """Random vertex of the transportation polytope via greedy filling along
     a shuffled cell order; all arithmetic on integers."""
     rem_rows = {i: w for i, w in row_law}
@@ -547,47 +489,6 @@ def _random_vertex(row_law, col_law, rng) -> list[tuple[int, int, int]]:
             rem_rows[i] -= w
             rem_cols[j] -= w
     return out
-
-
-def _random_costs_float(cfg, form_a, form_b, table, seed, samples):
-    """Float fallback for non-integer cost orders; plan weights stay exact."""
-    n = cfg.num_steps
-    rng = random.Random(seed)
-    results = []
-    for sample in range(samples):
-        memo: dict = {}
-
-        def stage_plan(t, law_a, law_b, optimal):
-            # plan between two successor laws given as (atom, weight) tuples
-            if sample == 0:
-                return optimal
-            if sample == 1:
-                return [(x, y, wa * wb) for x, wa in law_a for y, wb in law_b]
-            row = [(i, w) for i, (_, w) in enumerate(law_a)]
-            col = [(j, w) for j, (_, w) in enumerate(law_b)]
-            cells = _random_vertex(row, col, rng)
-            return [(law_a[i][0], law_b[j][0], w) for i, j, w in cells]
-
-        def cost_at(t, alpha, beta):
-            key = (alpha, beta)
-            if key in memo:
-                return memo[key]
-            total = float(cfg.step_cost(alpha.value, beta.value))
-            if t < n:
-                plan = stage_plan(
-                    t, alpha.law, beta.law, table.entry(t, alpha, beta).plan
-                )
-                for x, y, w in plan:
-                    total += float(w) * cost_at(t + 1, x, y)
-            memo[key] = total
-            return total
-
-        top = stage_plan(0, form_a.law, form_b.law, table.root_plan)
-        total = 0.0
-        for x, y, w in top:
-            total += float(w) * cost_at(1, x, y)
-        results.append(total)
-    return results
 
 
 def information_lift_contraction_ratio(tree: FilteredTree):

@@ -346,7 +346,8 @@ def test_criterion_12_non_coexistence_fixture():
             k *= 2
         analysis = non_coexistence_fixture(n, k).analysis
         assert analysis.aligned
-        assert analysis.w1 == F(1, n)
+        assert analysis.w1 == F(1, n)  # the n-th segment has length 1/n
+        assert analysis.segment_mass == F(1, n)
         assert analysis.lower_bound == analysis.diagonal_cost == analysis.w1
         assert analysis.strict_gap
         assert analysis.perturbed_cost == analysis.w1 + F(2, k * k)

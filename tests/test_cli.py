@@ -85,6 +85,13 @@ class TestDistance:
         assert "oracle: 40 sampled couplings" in out
         assert "agreement = True" in out
 
+    def test_oracle_agrees_non_integer_order(self, capsys, x_path, y_path):
+        argv = ["distance", x_path, y_path, "--p", "3/2", "--oracle-samples", "20"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "oracle: 20 sampled couplings" in out
+        assert "agreement = True" in out
+
     def test_artifacts_written(self, tmp_path, x_path, y_path):
         out_dir = tmp_path / "artifacts"
         assert (

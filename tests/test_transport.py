@@ -10,8 +10,10 @@ import pytest
 import helpers
 from adt import (
     DiscreteMeasure,
+    FilteredTree,
     SolverError,
     StaleTableError,
+    TreeNode,
     aw_distance,
     information_lift_contraction_ratio,
     information_process,
@@ -168,6 +170,12 @@ class TestFlatSolver:
             assert value == F(expected, scale)
             assert plan.matches_marginals(mu, nu)
             assert len(plan.support) <= m + n - 1
+
+    def test_integer_costs_are_exact(self):
+        value, plan = ot_solve([F(1, 3), F(2, 3)], [F(1, 2)] * 2, [[2, 1], [1, 3]])
+        assert value == F(4, 3)
+        assert isinstance(value, F)
+        assert plan.matches_marginals([F(1, 3), F(2, 3)], [F(1, 2)] * 2)
 
     def test_float_costs_supported(self):
         value, _ = ot_solve([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
@@ -340,6 +348,50 @@ class TestCouplingOracle:
         costs = random_bicausal_cost(x, y, seed=5, samples=20)
         assert costs[0] == value == 1
         assert all(value <= c <= 1 for c in costs)
+
+
+    def test_float_sampler_bounds_non_integer_order(self):
+        p = F(3, 2)
+        for a, b in helpers.regression_pairs(p, extra_random=6):
+            value, _ = aw_distance(a, b)
+            costs = random_bicausal_cost(a, b, seed=7, samples=24)
+            assert all(isinstance(c, float) for c in costs)
+            assert abs(costs[0] - value) <= 1e-9
+            assert all(c >= value - 1e-9 for c in costs)
+        a, b = helpers.random_pair(random.Random(99), p=p)
+        first = random_bicausal_cost(a, b, seed=123, samples=50)
+        assert random_bicausal_cost(a, b, seed=123, samples=50) == first
+        assert random_bicausal_cost(a, b, seed=124, samples=50) != first
+
+    def test_float_sampler_survives_huge_weight_scales(self):
+        # eight prime denominators make S^N about 10^378, beyond float range;
+        # the float walk must never scale by it
+        primes = (997, 991, 983, 977, 971, 967, 953, 947)
+        x = split_tree(primes, (F(1), F(-1)), p=F(3, 2))
+        y = split_tree(primes, (F(1, 2), F(-1, 2)), p=F(3, 2))
+        value, _ = aw_distance(x, y)
+        costs = random_bicausal_cost(x, y, seed=3, samples=5)
+        assert all(math.isfinite(c) for c in costs)
+        assert costs[0] == pytest.approx(value, rel=1e-9)
+
+
+def split_tree(primes, values, p):
+    """Binary tree with N = len(primes): every split at time t sends weight
+    1/q_t to ``values[0]`` and the rest to ``values[1]``."""
+    nodes = {}
+
+    def kids(parent, time):
+        q = primes[time - 1]
+        out = []
+        for k, (value, w) in enumerate(zip(values, (F(1, q), 1 - F(1, q)))):
+            nid = f"{parent}{k}"
+            nxt = kids(nid, time + 1) if time < len(primes) else ()
+            nodes[nid] = TreeNode(nid, time, (value,), "", nxt)
+            out.append((nid, w))
+        return tuple(out)
+
+    root = kids("s", 1)
+    return FilteredTree(helpers.cfg(n=len(primes), p=p), nodes, root)
 
 
 class TestContraction:
