@@ -1,5 +1,6 @@
 """Quantile representations on the unit cube and the shared-basis diagnostics."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -249,6 +250,22 @@ class TestConvergence:
 
 
 class TestFixture:
+    def test_grid_aligned_masses(self):
+        for n in range(2, 11):
+            # any multiple of lcm(1..n) keeps the segment ends on the grid;
+            # the fixture itself needs at least 4 cells
+            k = math.lcm(*range(1, n + 1))
+            while k < 4:
+                k *= 2
+            result = non_coexistence_fixture(n, k)
+            analysis = result.analysis
+            assert analysis.aligned
+            assert analysis.w1 == F(1, n)  # the n-th segment has length 1/n
+            assert analysis.segment_mass == F(1, n)
+            assert analysis.lower_bound == analysis.diagonal_cost == analysis.w1
+            assert analysis.strict_gap
+            assert analysis.perturbed_cost == analysis.w1 + F(2, k * k)
+
     def test_solver_cross_check_on_small_grids(self):
         for n, k in [(2, 12), (3, 12), (4, 60), (2, 8), (3, 10), (5, 7), (4, 80)]:
             analysis = non_coexistence_fixture(n, k).analysis
