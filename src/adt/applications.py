@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import ast
 import decimal
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ConfigMismatchError, ExpressionError, SolverError
-from .process_model import FilteredTree, MetricConfig, TreeNode
+from .process_model import FilteredTree
 
 __all__ = [
     "PayoffSpec",
@@ -402,18 +402,10 @@ def decorated_with_drift(decomp: DoobDecomposition) -> FilteredTree:
     cfg = tree.config
     nodes = {}
     for node in tree.nodes():
-        nodes[node.node_id] = TreeNode(
-            node_id=node.node_id,
-            time=node.time,
-            value=node.value + decomp.predictable[node.node_id],
-            info=node.info,
-            children=node.children,
+        nodes[node.node_id] = replace(
+            node, value=node.value + decomp.predictable[node.node_id]
         )
-    out_cfg = MetricConfig(
-        num_steps=cfg.num_steps, dim=2 * cfg.dim, order=cfg.order,
-        value_decimals=cfg.value_decimals,
-    )
-    return FilteredTree(out_cfg, nodes, tree.root_children)
+    return FilteredTree(replace(cfg, dim=2 * cfg.dim), nodes, tree.root_children)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -341,18 +341,8 @@ def _rank_decorated(tree: FilteredTree, decorate) -> FilteredTree:
         value = decorate(tree, node, rank)
         if dim is None:
             dim = len(value)
-        nodes[node.node_id] = TreeNode(
-            node_id=node.node_id,
-            time=node.time,
-            value=value,
-            info=node.info,
-            children=node.children,
-        )
-    cfg = tree.config
-    lifted_cfg = MetricConfig(
-        num_steps=cfg.num_steps, dim=dim, order=cfg.order, value_decimals=cfg.value_decimals
-    )
-    return FilteredTree(lifted_cfg, nodes, tree.root_children)
+        nodes[node.node_id] = replace(node, value=value)
+    return FilteredTree(replace(tree.config, dim=dim), nodes, tree.root_children)
 
 
 def self_aware_lift(tree: FilteredTree) -> FilteredTree:
@@ -392,17 +382,8 @@ def markov_lift(tree: FilteredTree) -> FilteredTree:
         history += [Fraction(0)] * (n * d - len(history))
         rank_slots = [Fraction(r) for r in chain] + [Fraction(-1)] * (n - len(chain))
         value = node.value + tuple(history) + tuple(rank_slots)
-        nodes[node.node_id] = TreeNode(
-            node_id=node.node_id,
-            time=node.time,
-            value=value,
-            info=node.info,
-            children=node.children,
-        )
-    lifted_cfg = MetricConfig(
-        num_steps=n, dim=d + n * d + n, order=cfg.order, value_decimals=cfg.value_decimals
-    )
-    return FilteredTree(lifted_cfg, nodes, tree.root_children)
+        nodes[node.node_id] = replace(node, value=value)
+    return FilteredTree(replace(cfg, dim=d + n * d + n), nodes, tree.root_children)
 
 
 # -- markov property ----------------------------------------------------------
@@ -539,24 +520,15 @@ def subtree_process(tree: FilteredTree, node_id: str) -> FilteredTree:
         raise TreeValidationError(
             f"node {node_id!r} is terminal; no subtree process remains", node_id
         )
-    sub_cfg = MetricConfig(
-        num_steps=remaining, dim=cfg.dim, order=cfg.order, value_decimals=cfg.value_decimals
-    )
     nodes: dict[str, TreeNode] = {}
     offset = node.time
 
     def copy(nid: str) -> None:
         n = tree.node(nid)
-        nodes[nid] = TreeNode(
-            node_id=nid,
-            time=n.time - offset,
-            value=n.value,
-            info=n.info,
-            children=n.children,
-        )
+        nodes[nid] = replace(n, time=n.time - offset)
         for cid, _ in n.children:
             copy(cid)
 
     for cid, _ in node.children:
         copy(cid)
-    return FilteredTree(sub_cfg, nodes, node.children)
+    return FilteredTree(replace(cfg, num_steps=remaining), nodes, node.children)

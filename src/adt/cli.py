@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,7 +55,7 @@ from .errors import (
     StaleTableError,
     TreeValidationError,
 )
-from .process_model import FilteredTree, MetricConfig, load_tree_file
+from .process_model import FilteredTree, load_tree_file
 from .skorokhod import (
     convergence_report,
     non_coexistence_fixture,
@@ -138,23 +139,15 @@ def _load(path: str, args) -> FilteredTree:
     order = _resolve_order(args)
     if order is None or order == tree.config.order:
         return tree
-    cfg = tree.config
-    return tree.with_config(
-        MetricConfig(
-            num_steps=cfg.num_steps,
-            dim=cfg.dim,
-            order=order,
-            value_decimals=cfg.value_decimals,
-        )
-    )
+    return tree.with_config(replace(tree.config, order=order))
 
 
 # -- distance table serialization ---------------------------------------------------
 
 
-def _table_document(table, form_a, form_b) -> dict:
-    ranks_a = atom_level_ranks(form_a)
-    ranks_b = atom_level_ranks(form_b)
+def _table_document(table) -> dict:
+    ranks_a = atom_level_ranks(table.left)
+    ranks_b = atom_level_ranks(table.right)
     levels = []
     for t, level in enumerate(table.levels, start=1):
         entries = []
@@ -172,8 +165,8 @@ def _table_document(table, form_a, form_b) -> dict:
         entries.sort(key=lambda row: (row["left"], row["right"]))
         levels.append(entries)
     return {
-        "left_digest": table.left_digest,
-        "right_digest": table.right_digest,
+        "left_digest": table.left.digest(),
+        "right_digest": table.right.digest(),
         "truncated": table.truncated,
         "root_value": _number_json(table.root_value),
         "root_plan": [
@@ -234,7 +227,7 @@ def _cmd_distance(args) -> int:
         },
     }
     if args.oracle_samples:
-        sampled = random_bicausal_cost(a, b, seed=args.seed, samples=args.oracle_samples)
+        sampled = random_bicausal_cost(table, seed=args.seed, samples=args.oracle_samples)
         best = min(sampled)
         agrees = best == value if isinstance(best, Fraction) and isinstance(
             value, Fraction
@@ -251,9 +244,7 @@ def _cmd_distance(args) -> int:
         }
     _emit(args, "distance.json", _dump(doc))
     if args.emit_table:
-        res_a = information_process(a)
-        res_b = information_process(b)
-        _emit(args, "table.json", _dump(_table_document(table, res_a.form, res_b.form)))
+        _emit(args, "table.json", _dump(_table_document(table)))
     if args.emit_plan:
         coupling = assemble_optimal_coupling(table, a, b)
         _emit(args, "plan.json", _dump(coupling.to_document()))

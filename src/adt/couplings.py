@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -249,9 +249,7 @@ def assemble_optimal_coupling(
     realizing each atom, which preserves marginals exactly and keeps the
     coupling bicausal; its expected path cost equals the table value.
     """
-    table.check_matches(a, b)
-    res_a = information_process(a)
-    res_b = information_process(b)
+    res_a, res_b = table.check_matches(a, b)
 
     weights: dict[tuple[str, str], Fraction] = {}
 
@@ -375,10 +373,9 @@ def product_process(pi: PathCoupling) -> ProductTree:
             mass[0].items(), key=lambda item: (order_l[item[0][0]], order_r[item[0][1]])
         )
     ]
-    prod_cfg = MetricConfig(
-        num_steps=n,
+    prod_cfg = replace(
+        cfg,
         dim=2 * cfg.dim,
-        order=cfg.order,
         value_decimals=max(cfg.value_decimals, right.config.value_decimals),
     )
     tree = FilteredTree(prod_cfg, nodes, root)
@@ -393,21 +390,8 @@ def project_product(product: ProductTree, side: str) -> FilteredTree:
     d = product.base_dim
     lo, hi = (0, d) if side == "left" else (d, 2 * d)
     src = product.tree
-    cfg = src.config
-    nodes = {
-        node.node_id: TreeNode(
-            node_id=node.node_id,
-            time=node.time,
-            value=node.value[lo:hi],
-            info=node.info,
-            children=node.children,
-        )
-        for node in src.nodes()
-    }
-    out_cfg = MetricConfig(
-        num_steps=cfg.num_steps, dim=d, order=cfg.order, value_decimals=cfg.value_decimals
-    )
-    return FilteredTree(out_cfg, nodes, src.root_children)
+    nodes = {node.node_id: replace(node, value=node.value[lo:hi]) for node in src.nodes()}
+    return FilteredTree(replace(src.config, dim=d), nodes, src.root_children)
 
 
 def pair_path_cost(tree: FilteredTree, base_dim: int):
@@ -417,10 +401,7 @@ def pair_path_cost(tree: FilteredTree, base_dim: int):
         raise ConfigMismatchError(
             f"pair process has dimension {cfg.dim}, expected {2 * base_dim}"
         )
-    base_cfg = MetricConfig(
-        num_steps=cfg.num_steps, dim=base_dim, order=cfg.order,
-        value_decimals=cfg.value_decimals,
-    )
+    base_cfg = replace(cfg, dim=base_dim)
     total = Fraction(0)
     for leaf in tree.leaves():
         path = tree.value_path(leaf)
@@ -450,18 +431,8 @@ def geodesic(product: ProductTree, lam) -> FilteredTree:
         x = node.value[:d]
         y = node.value[d:]
         value = tuple(a + lam * (b - a) for a, b in zip(x, y))
-        nodes[node.node_id] = TreeNode(
-            node_id=node.node_id,
-            time=node.time,
-            value=value,
-            info=node.info,
-            children=node.children,
-        )
-    cfg = src.config
-    out_cfg = MetricConfig(
-        num_steps=cfg.num_steps, dim=d, order=cfg.order, value_decimals=cfg.value_decimals
-    )
-    return FilteredTree(out_cfg, nodes, src.root_children)
+        nodes[node.node_id] = replace(node, value=value)
+    return FilteredTree(replace(src.config, dim=d), nodes, src.root_children)
 
 
 # -- randomized extensions --------------------------------------------------------
@@ -568,10 +539,7 @@ def _uniform_grid_tree(m: int, like: MetricConfig) -> FilteredTree:
         return node_id
 
     root = tuple((build(1, (g,)), inv_m) for g in range(m))
-    cfg = MetricConfig(
-        num_steps=n, dim=1, order=like.order, value_decimals=like.value_decimals
-    )
-    return FilteredTree(cfg, nodes, root)
+    return FilteredTree(replace(like, dim=1), nodes, root)
 
 
 def _grid_node_id(time: int, chain: tuple[int, ...]) -> str:
@@ -623,18 +591,8 @@ def augmented_self_aware_lift(ext: RandomizedExtension) -> FilteredTree:
         base_id, chain = ext.node_map[node.node_id]
         rank = ranks[node.time - 1][res.node_atom[base_id]]
         value = node.value + (Fraction(rank), Fraction(chain[-1]))
-        nodes[node.node_id] = TreeNode(
-            node_id=node.node_id,
-            time=node.time,
-            value=value,
-            info=node.info,
-            children=node.children,
-        )
-    out_cfg = MetricConfig(
-        num_steps=cfg.num_steps, dim=cfg.dim + 2, order=cfg.order,
-        value_decimals=cfg.value_decimals,
-    )
-    return FilteredTree(out_cfg, nodes, etree.root_children)
+        nodes[node.node_id] = replace(node, value=value)
+    return FilteredTree(replace(cfg, dim=cfg.dim + 2), nodes, etree.root_children)
 
 
 # -- transfer ---------------------------------------------------------------------
@@ -766,29 +724,11 @@ def transfer(product: ProductTree, target: RandomizedExtension) -> TransferResul
         # label by (base node, digit): the atom identity on the extension,
         # which keeps siblings distinct however the values slice
         info = f"{base_id}|u{chain[-1]}"
-        pair_nodes[node.node_id] = TreeNode(
-            node_id=node.node_id,
-            time=node.time,
-            value=gamma.value,
-            info=info,
-            children=node.children,
-        )
-        y_nodes[node.node_id] = TreeNode(
-            node_id=node.node_id,
-            time=node.time,
-            value=gamma.value[d:],
-            info=info,
-            children=node.children,
-        )
-    ecfg = etree.config
-    pair_cfg = MetricConfig(
-        num_steps=ecfg.num_steps, dim=2 * d, order=ecfg.order,
-        value_decimals=prod_tree.config.value_decimals,
-    )
-    y_cfg = MetricConfig(
-        num_steps=ecfg.num_steps, dim=d, order=ecfg.order,
-        value_decimals=prod_tree.config.value_decimals,
-    )
+        pair_nodes[node.node_id] = replace(node, value=gamma.value, info=info)
+        y_nodes[node.node_id] = replace(node, value=gamma.value[d:], info=info)
+    decimals = prod_tree.config.value_decimals
+    pair_cfg = replace(etree.config, dim=2 * d, value_decimals=decimals)
+    y_cfg = replace(etree.config, dim=d, value_decimals=decimals)
     pair_tree = FilteredTree(pair_cfg, pair_nodes, etree.root_children)
     y_tree = FilteredTree(y_cfg, y_nodes, etree.root_children)
     return TransferResult(pair_tree=pair_tree, y_tree=y_tree, required_m=required)

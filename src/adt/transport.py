@@ -4,8 +4,9 @@ The solver is a transportation simplex over exact rationals: Bland's rule
 makes it terminate without tolerances, and for integer cost orders every
 reported value is an exact ``Fraction``.  The adapted distance between two
 filtered processes is computed by a backward recursion over pairs of
-canonical atoms; its table doubles as the certificate from which optimal
-bicausal couplings are assembled.
+canonical atoms.  Its table keeps the two canonical forms it was solved on
+and doubles as the certificate from which optimal bicausal couplings are
+assembled and the sampling oracle composes its couplings.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Sequence
 
 from .canonical import (
     CanonicalForm,
+    InformationResult,
     NestedAtom,
     information_process,
 )
@@ -264,14 +266,15 @@ class StageEntry:
 class NestedDistanceTable:
     """Backward-recursion table of the adapted distance.
 
-    ``levels[t-1]`` maps pairs of time-t atoms to StageEntry; ``root_plan``
-    couples the two canonical laws.  ``truncated`` marks the weak-mode case
-    where the reported value was clipped at 1.
+    ``left`` and ``right`` are the canonical forms the table was solved on;
+    ``levels[t-1]`` maps pairs of their time-t atoms to StageEntry and
+    ``root_plan`` couples their laws.  ``truncated`` marks the weak-mode
+    case where the reported value was clipped at 1.
     """
 
     config: MetricConfig
-    left_digest: str
-    right_digest: str
+    left: CanonicalForm
+    right: CanonicalForm
     levels: tuple
     root_value: object
     root_plan: tuple[tuple[NestedAtom, NestedAtom, Fraction], ...]
@@ -280,13 +283,25 @@ class NestedDistanceTable:
     def entry(self, time: int, left: NestedAtom, right: NestedAtom) -> StageEntry:
         return self.levels[time - 1][(left, right)]
 
-    def check_matches(self, left: FilteredTree, right: FilteredTree) -> None:
-        from .canonical import digest_tree
-
-        if digest_tree(left) != self.left_digest or digest_tree(right) != self.right_digest:
+    def check_matches(
+        self, left: FilteredTree, right: FilteredTree
+    ) -> tuple[InformationResult, InformationResult]:
+        """Canonicalize both trees and check that the table was solved on
+        them under their metric; returns the two results.  Atoms are
+        interned, so comparing the laws by atom identity is exact."""
+        res_a = information_process(left)
+        res_b = information_process(right)
+        if not (
+            self.config.same_shape(left.config)
+            and self.config.same_shape(right.config)
+            and res_a.form.law == self.left.law
+            and res_b.form.law == self.right.law
+        ):
             raise StaleTableError(
-                "distance table does not belong to these trees (canonical digests differ)"
+                "distance table does not belong to these trees "
+                "(canonical forms or cost order differ)"
             )
+        return res_a, res_b
 
 
 def _plan_on_atoms(plan: TransportPlan, left_atoms, right_atoms):
@@ -300,18 +315,15 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
 
     Returns ``(value, table)`` where ``value`` is the optimal bicausal
     expected path cost (the p-th power of the distance; exact for integer
-    p).  In weak mode the recursion runs on untruncated 1-norm stage costs
-    and the final value is clipped at 1, mirroring the truncated path
-    metric at the level of totals.
+    p).  Each tree is canonicalized once, and the table keeps both forms.
+    In weak mode the recursion runs on untruncated 1-norm stage costs and
+    the final value is clipped at 1, mirroring the truncated path metric at
+    the level of totals.
     """
     a.config.require_same_shape(b.config, "aw_distance")
     cfg = a.config
-    res_a = information_process(a)
-    res_b = information_process(b)
-    return _aw_from_forms(cfg, res_a.form, res_b.form)
-
-
-def _aw_from_forms(cfg: MetricConfig, form_a: CanonicalForm, form_b: CanonicalForm):
+    form_a = information_process(a).form
+    form_b = information_process(b).form
     levels_a = form_a.levels()
     levels_b = form_b.levels()
     n = cfg.num_steps
@@ -348,8 +360,8 @@ def _aw_from_forms(cfg: MetricConfig, form_a: CanonicalForm, form_b: CanonicalFo
         truncated = True
     table = NestedDistanceTable(
         config=cfg,
-        left_digest=form_a.digest(),
-        right_digest=form_b.digest(),
+        left=form_a,
+        right=form_b,
         levels=tuple(tables),
         root_value=value,
         root_plan=_plan_on_atoms(plan, top_a, top_b),
@@ -379,17 +391,16 @@ def wasserstein_paths(a: FilteredTree, b: FilteredTree):
 # -- compositional coupling oracle ----------------------------------------------
 
 
-def random_bicausal_cost(
-    a: FilteredTree, b: FilteredTree, seed: int, samples: int
-) -> list:
-    """Expected path costs of ``samples`` bicausal couplings built by stage
-    composition: a plan between the canonical laws at the top, then a plan
-    between successor laws for every matched atom pair.
+def random_bicausal_cost(table: NestedDistanceTable, seed: int, samples: int) -> list:
+    """Expected path costs of ``samples`` bicausal couplings between the two
+    canonical forms of ``table``, built by stage composition: a plan between
+    the canonical laws at the top, then a plan between successor laws for
+    every matched atom pair.
 
-    Sample 0 composes the stage-optimal plans (its cost equals the adapted
-    distance), sample 1 composes independent product plans, and the
+    Sample 0 composes the table's stage-optimal plans (its cost equals the
+    adapted distance), sample 1 composes independent product plans, and the
     remainder are random transport vertices.  Every value is an upper bound
-    for ``aw_distance``.
+    for ``aw_distance``.  Nothing is canonicalized or solved again.
 
     For integer p and in weak mode the costs are exact ``Fraction``s.  The
     walk then runs on plain ints: probabilities are integers over D, the lcm
@@ -405,17 +416,13 @@ def random_bicausal_cost(
     """
     if samples < 1:
         raise SolverError("samples must be >= 1")
-    a.config.require_same_shape(b.config, "random_bicausal_cost")
-    cfg = a.config
-    form_a = information_process(a).form
-    form_b = information_process(b).form
-    _, table = _aw_from_forms(cfg, form_a, form_b)
+    cfg = table.config
     n = cfg.num_steps
     exact = cfg.exact_costs
 
     # the canonical laws are the successor laws of two value-less time-0
     # roots; they are local to this walk and never interned
-    root = (NestedAtom((), form_a.law, 0), NestedAtom((), form_b.law, 0))
+    root = (NestedAtom((), table.left.law, 0), NestedAtom((), table.right.law, 0))
     levels = [{root: StageEntry(cost=0, plan=table.root_plan)}, *table.levels]
     atoms = {x for level in levels for pair in level for x in pair}
 
@@ -501,17 +508,13 @@ def information_lift_contraction_ratio(tree: FilteredTree):
     """
     cfg = tree.config
     _, table = aw_distance(tree, tree)
-    form = information_process(tree).form
-    levels = form.levels()
+    levels_a, levels_b = table.left.levels(), table.right.levels()
     max_ratio = Fraction(0)
     for t in range(1, cfg.num_steps):
-        level = levels[t - 1]
-        succ_cost_cache: dict = {}
-        for i in range(len(level)):
-            for j in range(len(level)):
-                if i == j:
+        for alpha in levels_a[t - 1]:
+            for beta in levels_b[t - 1]:
+                if alpha is beta:
                     continue
-                alpha, beta = level[i], level[j]
                 dz = _rooted(table.entry(t, alpha, beta).cost, cfg)
                 succ_a = [atom for atom, _ in alpha.law]
                 succ_b = [atom for atom, _ in beta.law]

@@ -1,6 +1,8 @@
 """End-to-end command-line checks: outputs, artifacts, exit codes."""
 
 import json
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -116,6 +118,18 @@ class TestDistance:
         )
         assert plan.expected_cost() == F(11, 10)
 
+    def test_table_digests_match_canonicalize(self, capsys, tmp_path, x_path, y_path):
+        out_dir = tmp_path / "table"
+        argv = ["distance", x_path, y_path, "--emit-table", "--out", str(out_dir)]
+        assert main(argv) == 0
+        table = json.loads((out_dir / "table.json").read_text(encoding="utf-8"))
+        assert table["left_digest"] != table["right_digest"]
+        for key, path in (("left_digest", x_path), ("right_digest", y_path)):
+            capsys.readouterr()
+            assert main(["canonicalize", path]) == 0
+            digest_line = capsys.readouterr().out.splitlines()[0]
+            assert digest_line == f"digest = {table[key]}"
+
     def test_deterministic_bytes(self, capsys, tmp_path, x_path, y_path):
         argv = ["distance", x_path, y_path, "--oracle-samples", "25"]
         assert main(argv) == 0
@@ -131,6 +145,64 @@ class TestDistance:
     def test_bad_order_exits_3(self, capsys, x_path, y_path):
         assert main(["distance", x_path, y_path, "--p", "-1"]) == 3
         assert main(["distance", x_path, y_path, "--p", "zero"]) == 3
+
+
+class TestWorkPerCommand:
+    """Each tree is canonicalized once by the solve and once more only to
+    map tree nodes onto atoms; a digest is computed only where an artifact
+    prints it."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from adt import canonical, transport
+
+        counts = {"canonical": 0, "digest": 0, "ot_solve": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        canonicalize = counting("canonical", canonical.information_process)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("adt.") and hasattr(module, "information_process"):
+                monkeypatch.setattr(module, "information_process", canonicalize)
+        monkeypatch.setattr(
+            canonical.CanonicalForm, "digest", counting("digest", canonical.CanonicalForm.digest)
+        )
+        monkeypatch.setattr(transport, "ot_solve", counting("ot_solve", transport.ot_solve))
+        return counts
+
+    @pytest.fixture
+    def pair_paths(self, tmp_path):
+        left, right = helpers.random_pair(random.Random(3))
+        return [write_tree(tmp_path, "left", left), write_tree(tmp_path, "right", right)]
+
+    @pytest.mark.parametrize(
+        "command, flags, canonicalizations, digests",
+        [
+            ("coupling", [], 4, 0),
+            ("geodesic", ["--lam", "1/2"], 4, 0),
+            ("distance", [], 2, 0),
+            ("distance", ["--emit-table", "--emit-plan", "--oracle-samples", "5"], 4, 2),
+        ],
+    )
+    def test_canonicalizations_and_digests(
+        self, counts, pair_paths, tmp_path, command, flags, canonicalizations, digests
+    ):
+        argv = [command, *pair_paths, *flags, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert counts["canonical"] == canonicalizations
+        assert counts["digest"] == digests
+
+    def test_oracle_adds_no_stage_solve(self, counts, pair_paths, tmp_path):
+        assert main(["distance", *pair_paths, "--out", str(tmp_path / "a")]) == 0
+        solves = counts["ot_solve"]
+        argv = ["distance", *pair_paths, "--oracle-samples", "5", "--out", str(tmp_path / "b")]
+        assert main(argv) == 0
+        assert counts["ot_solve"] == 2 * solves
 
 
 class TestWasserstein:

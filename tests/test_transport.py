@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from adt import (
     SolverError,
     StaleTableError,
     TreeNode,
+    assemble_optimal_coupling,
     aw_distance,
     information_lift_contraction_ratio,
     information_process,
@@ -266,6 +268,22 @@ class TestAdaptedDistance:
         with pytest.raises(StaleTableError):
             table.check_matches(x, helpers.y_eps(F(1, 10)))
 
+    def test_stale_table_detected_across_cost_orders(self):
+        # the same trees rebound to another order have the same canonical
+        # forms, but the p = 1 plans are not optimal at p = 2: on this pair
+        # they cost 11441/800 against the p = 2 optimum 79927/5600
+        rng = random.Random(5)
+        for _ in range(6):
+            a, b = helpers.random_pair(rng)
+        _, table = aw_distance(a, b)
+        table.check_matches(a, b)
+        for order in (F(2), F(0)):
+            a2, b2 = (t.with_config(replace(t.config, order=order)) for t in (a, b))
+            with pytest.raises(StaleTableError):
+                table.check_matches(a2, b2)
+            with pytest.raises(StaleTableError):
+                assemble_optimal_coupling(table, a2, b2)
+
     def test_shape_mismatch_rejected(self):
         from adt import ConfigMismatchError
 
@@ -301,8 +319,8 @@ class TestCouplingOracle:
     def test_first_sample_is_optimal_rest_dominate(self):
         for p in (1, 2):
             for a, b in helpers.regression_pairs(p, extra_random=6):
-                value, _ = aw_distance(a, b)
-                costs = random_bicausal_cost(a, b, seed=7, samples=24)
+                value, table = aw_distance(a, b)
+                costs = random_bicausal_cost(table, seed=7, samples=24)
                 assert costs[0] == value
                 assert min(costs) == value
                 assert all(c >= value for c in costs)
@@ -313,7 +331,7 @@ class TestCouplingOracle:
         # which is 0 or 2 with equal odds
         x = helpers.bernoulli_x()
         y = helpers.y_eps(F(1, 10))
-        costs = random_bicausal_cost(x, y, seed=0, samples=2)
+        costs = random_bicausal_cost(aw_distance(x, y)[1], seed=0, samples=2)
         eps = F(1, 10)
         assert costs[1] == eps + (0 + 2) / F(2)
 
@@ -322,30 +340,33 @@ class TestCouplingOracle:
         # coupling is unique and every sample must equal the optimum
         x = helpers.bernoulli_x()
         y = helpers.y_eps(F(1, 10))
-        value, _ = aw_distance(x, y)
-        costs = random_bicausal_cost(x, y, seed=99, samples=20)
+        value, table = aw_distance(x, y)
+        costs = random_bicausal_cost(table, seed=99, samples=20)
         assert set(costs) == {value}
 
     def test_deterministic_in_seed(self):
         a, b = helpers.random_pair(random.Random(99))
-        first = random_bicausal_cost(a, b, seed=123, samples=50)
-        second = random_bicausal_cost(a, b, seed=123, samples=50)
+        _, table = aw_distance(a, b)
+        first = random_bicausal_cost(table, seed=123, samples=50)
+        second = random_bicausal_cost(table, seed=123, samples=50)
         assert first == second
-        third = random_bicausal_cost(a, b, seed=124, samples=50)
+        third = random_bicausal_cost(table, seed=124, samples=50)
         assert third != first  # random vertices actually vary
         assert len(set(first)) > 1
 
     def test_rejects_empty_sample_request(self):
         with pytest.raises(SolverError):
             random_bicausal_cost(
-                helpers.bernoulli_x(), helpers.bernoulli_x(), seed=0, samples=0
+                aw_distance(helpers.bernoulli_x(), helpers.bernoulli_x())[1],
+                seed=0,
+                samples=0,
             )
 
     def test_weak_mode_costs_stay_bounded(self):
         x = helpers.bernoulli_x(p=0)
         y = helpers.y_eps(F(1, 10), p=0)
-        value, _ = aw_distance(x, y)
-        costs = random_bicausal_cost(x, y, seed=5, samples=20)
+        value, table = aw_distance(x, y)
+        costs = random_bicausal_cost(table, seed=5, samples=20)
         assert costs[0] == value == 1
         assert all(value <= c <= 1 for c in costs)
 
@@ -353,15 +374,16 @@ class TestCouplingOracle:
     def test_float_sampler_bounds_non_integer_order(self):
         p = F(3, 2)
         for a, b in helpers.regression_pairs(p, extra_random=6):
-            value, _ = aw_distance(a, b)
-            costs = random_bicausal_cost(a, b, seed=7, samples=24)
+            value, table = aw_distance(a, b)
+            costs = random_bicausal_cost(table, seed=7, samples=24)
             assert all(isinstance(c, float) for c in costs)
             assert abs(costs[0] - value) <= 1e-9
             assert all(c >= value - 1e-9 for c in costs)
         a, b = helpers.random_pair(random.Random(99), p=p)
-        first = random_bicausal_cost(a, b, seed=123, samples=50)
-        assert random_bicausal_cost(a, b, seed=123, samples=50) == first
-        assert random_bicausal_cost(a, b, seed=124, samples=50) != first
+        _, table = aw_distance(a, b)
+        first = random_bicausal_cost(table, seed=123, samples=50)
+        assert random_bicausal_cost(table, seed=123, samples=50) == first
+        assert random_bicausal_cost(table, seed=124, samples=50) != first
 
     def test_float_sampler_survives_huge_weight_scales(self):
         # eight prime denominators make S^N about 10^378, beyond float range;
@@ -369,8 +391,8 @@ class TestCouplingOracle:
         primes = (997, 991, 983, 977, 971, 967, 953, 947)
         x = split_tree(primes, (F(1), F(-1)), p=F(3, 2))
         y = split_tree(primes, (F(1, 2), F(-1, 2)), p=F(3, 2))
-        value, _ = aw_distance(x, y)
-        costs = random_bicausal_cost(x, y, seed=3, samples=5)
+        value, table = aw_distance(x, y)
+        costs = random_bicausal_cost(table, seed=3, samples=5)
         assert all(math.isfinite(c) for c in costs)
         assert costs[0] == pytest.approx(value, rel=1e-9)
 
