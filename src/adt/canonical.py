@@ -10,6 +10,7 @@ when the adapted transport distance vanishes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import threading
 from dataclasses import dataclass, replace
@@ -437,7 +438,7 @@ def is_lipschitz_markov(
     Returns the worst observed ratio together with a witness pair.  Raises
     NotMarkovError when kernels are not a function of the value.
     """
-    from .transport import ot_solve  # local import to keep module layers acyclic
+    from .transport import _worst_ratio  # local import to keep module layers acyclic
 
     if not is_markov(tree):
         raise NotMarkovError("is_lipschitz_markov requires a Markov value process")
@@ -447,38 +448,24 @@ def is_lipschitz_markov(
     if kernel_metric is None:
         kernel_metric = lambda t, x, y: cfg.step_distance(x, y)
 
-    bound = Fraction(bound)
-    max_ratio: Fraction | float = Fraction(0)
-    witness = None
-    ok = True
-    for t in range(1, cfg.num_steps):
-        kernels: dict[tuple, dict[tuple, Fraction]] = {}
-        for node_id in tree.level(t):
-            value = tree.node(node_id).value
-            if value not in kernels:
-                kernels[value] = _one_step_kernel(tree, node_id)
-        values = list(kernels)
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                x, y = values[i], values[j]
-                mu = sorted(kernels[x].items())
-                nu = sorted(kernels[y].items())
-                cost = [
-                    [kernel_metric(t + 1, a, b) for b, _ in nu] for a, _ in mu
-                ]
-                w1, _ = ot_solve([w for _, w in mu], [w for _, w in nu], cost)
-                gap = state_metric(t, x, y)
-                if gap == 0:
-                    if w1 != 0:
-                        return LipschitzMarkovReport(False, float("inf"), (t, x, y))
-                    continue
-                ratio = w1 / gap if isinstance(w1, Fraction) and isinstance(gap, Fraction) \
-                    else float(w1) / float(gap)
-                if ratio > max_ratio:
-                    max_ratio, witness = ratio, (t, x, y)
-                if ratio > bound:
-                    ok = False
-    return LipschitzMarkovReport(ok=ok, max_ratio=max_ratio, witness=witness)
+    def pairs():
+        for t in range(1, cfg.num_steps):
+            kernels: dict[tuple, dict[tuple, Fraction]] = {}
+            for node_id in tree.level(t):
+                value = tree.node(node_id).value
+                if value not in kernels:
+                    kernels[value] = _one_step_kernel(tree, node_id)
+            for x, y in itertools.combinations(kernels, 2):
+                yield (
+                    (t, x, y),
+                    sorted(kernels[x].items()),
+                    sorted(kernels[y].items()),
+                    lambda a, b: kernel_metric(t + 1, a, b),
+                    state_metric(t, x, y),
+                )
+
+    max_ratio, witness, exceeded = _worst_ratio(pairs(), Fraction(bound))
+    return LipschitzMarkovReport(ok=not exceeded, max_ratio=max_ratio, witness=witness)
 
 
 # -- adapted maps and subtrees -------------------------------------------------

@@ -129,8 +129,8 @@ def _resolve_order(args) -> Fraction | None:
         order = Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise DocumentError(f"cannot parse cost order {raw!r}") from None
-    if order <= 0:
-        raise DocumentError(f"cost order must be positive (use --weak for order 0), got {raw}")
+    if order < 1:
+        raise DocumentError(f"cost order must be at least 1 (use --weak for order 0), got {raw}")
     return order
 
 
@@ -310,7 +310,11 @@ def _cmd_lift(args) -> int:
 
 def _cmd_coupling(args) -> int:
     if args.check:
-        coupling = load_coupling(Path(args.check).read_text(encoding="utf-8"))
+        try:
+            text = Path(args.check).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise DocumentError(f"cannot read coupling document {args.check}: {exc}") from exc
+        coupling = load_coupling(text)
         report = check_bicausal(coupling)
         print(f"bicausal: {report.ok}")
         for name, side in (

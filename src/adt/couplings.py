@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .canonical import (
     NestedAtom,
@@ -134,7 +134,10 @@ class PathCoupling:
 
 def load_coupling(document) -> PathCoupling:
     if isinstance(document, (str, bytes)):
-        document = json.loads(document)
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise DocumentError(f"malformed JSON: {exc}") from exc
     if not isinstance(document, Mapping):
         raise DocumentError("coupling document must be a JSON object")
     for key in ("left_tree", "right_tree", "support"):
@@ -142,11 +145,16 @@ def load_coupling(document) -> PathCoupling:
             raise DocumentError(f"coupling document is missing key {key!r}")
     left = load_tree(document["left_tree"])
     right = load_tree(document["right_tree"])
+    support = document["support"]
+    if not isinstance(support, Sequence) or isinstance(support, (str, bytes)):
+        raise DocumentError("'support' must be an array")
     weights = {}
-    for entry in document["support"]:
+    for entry in support:
         if not isinstance(entry, Mapping) or not {"left", "right", "weight"} <= set(entry):
             raise DocumentError("each support entry needs 'left', 'right', 'weight'")
         key = (entry["left"], entry["right"])
+        if not all(isinstance(cid, str) and cid for cid in key):
+            raise DocumentError("support entry ids must be non-empty strings")
         weights[key] = weights.get(key, Fraction(0)) + parse_probability(entry["weight"])
     return PathCoupling(left, right, weights)
 

@@ -217,22 +217,6 @@ def _overlap_laws(law_a, law_b):
                 rem_b = law_b[j][1]
 
 
-def _overlap_cells(cells_a, cells_b):
-    """Sweep two cell rows: yields (cell, cell, lo, length) on the refinement."""
-    i = j = 0
-    cursor = Fraction(0)
-    while i < len(cells_a) and j < len(cells_b):
-        hi = min(cells_a[i].hi, cells_b[j].hi)
-        lam = hi - cursor
-        if lam > 0:
-            yield cells_a[i], cells_b[j], cursor, lam
-        if cells_a[i].hi == hi:
-            i += 1
-        if cells_b[j].hi == hi:
-            j += 1
-        cursor = hi
-
-
 def lp_distance(f: QuantileMap, g: QuantileMap):
     """Exact integral of the path cost between two quantile representations
     over the unit cube (p-th power of the L^p gap; for weak mode, the
@@ -297,8 +281,12 @@ def max_pointwise_gap(f: QuantileMap, g: QuantileMap):
     best: dict = {"gap": None, "point": None}
 
     def walk(cells_a, cells_b, xs, ys, point):
-        for ca, cb, lo, lam in _overlap_cells(cells_a, cells_b):
+        lo = Fraction(0)
+        for ca, cb, lam in _overlap_laws(
+            [(c, c.length) for c in cells_a], [(c, c.length) for c in cells_b]
+        ):
             mid = lo + lam / 2
+            lo += lam
             nxs = xs + (ca.atom.value,)
             nys = ys + (cb.atom.value,)
             npoint = point + (mid,)

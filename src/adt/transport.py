@@ -1,16 +1,20 @@
 """Exact optimal transport and the adapted (nested) transport distance.
 
 The solver is a transportation simplex over exact rationals: Bland's rule
-makes it terminate without tolerances, and for integer cost orders every
-reported value is an exact ``Fraction``.  The adapted distance between two
-filtered processes is computed by a backward recursion over pairs of
-canonical atoms.  Its table keeps the two canonical forms it was solved on
-and doubles as the certificate from which optimal bicausal couplings are
-assembled and the sampling oracle composes its couplings.
+makes it terminate without tolerances, and each pivot walks the basis tree
+once, for the potentials and the parent links that close the entering
+cycle.  For integer cost orders every reported value is an exact
+``Fraction``.  The adapted distance between two filtered processes is a
+backward recursion over pairs of canonical atoms, each pair one transport
+problem between two successor laws.  Its table keeps the two canonical
+forms it was solved on and doubles as the certificate from which optimal
+bicausal couplings are assembled and the sampling oracle composes its
+couplings.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -133,19 +137,22 @@ def ot_solve(mu, nu, cost):
 
 
 def _simplex(a, b, cost, tol):
-    """Transportation simplex with Bland's rule; returns the basic masses."""
+    """Transportation simplex with Bland's rule; returns the basic masses,
+    whose keys are the basis: a spanning tree on rows (nodes 0..m-1) and
+    columns (nodes m..m+n-1).  Each pivot walks it once (``_basis_tree``);
+    the entering cell is the first negative reduced cost in row-major
+    order, its cycle runs up the parent links, and the smallest mass on
+    the cycle's odd positions leaves (ties: the smallest cell).
+    """
     m, n = len(a), len(b)
     masses: dict[tuple[int, int], Fraction] = {}
-    basis: set[tuple[int, int]] = set()
 
     # northwest corner start
     i = j = 0
-    rem_a = list(a)
-    rem_b = list(b)
+    rem_a, rem_b = list(a), list(b)
     while i < m and j < n:
         w = min(rem_a[i], rem_b[j])
         masses[(i, j)] = w
-        basis.add((i, j))
         rem_a[i] -= w
         rem_b[j] -= w
         if i == m - 1 and j == n - 1:
@@ -157,97 +164,64 @@ def _simplex(a, b, cost, tol):
 
     max_pivots = 1000 * (m + n + 10)
     for _ in range(max_pivots):
-        u, v = _potentials(m, n, cost, basis)
+        pot, parent, depth = _basis_tree(m, n, cost, masses)
         entering = None
-        for i in range(m):
-            for j in range(n):
-                if (i, j) in basis:
-                    continue
-                if cost[i][j] - u[i] - v[j] < -tol:
-                    entering = (i, j)
-                    break
-            if entering:
+        for i, j in itertools.product(range(m), range(n)):
+            if (i, j) not in masses and cost[i][j] - pot[i] - pot[m + j] < -tol:
+                entering = (i, j)
                 break
         if entering is None:
             return masses
-        cycle = _basis_cycle(entering, basis)
+        # the tree path from row i to column j closes the cycle: walk both
+        # ends up the parent links to their common ancestor
+        ends = [entering[0], m + entering[1]]
+        paths = ([], [])
+        while ends[0] != ends[1]:
+            k = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+            x, up = ends[k], parent[ends[k]]
+            paths[k].append((x, up - m) if x < m else (up, x - m))
+            ends[k] = up
+        cycle = [entering, *paths[0], *reversed(paths[1])]
         # odd positions give up mass
-        theta = None
-        leaving = None
+        theta = leaving = None
         for pos in range(1, len(cycle), 2):
             cell = cycle[pos]
-            w = masses.get(cell, Fraction(0))
+            w = masses[cell]
             if theta is None or w < theta or (w == theta and cell < leaving):
                 theta, leaving = w, cell
         for pos, cell in enumerate(cycle):
             delta = theta if pos % 2 == 0 else -theta
             masses[cell] = masses.get(cell, Fraction(0)) + delta
-        basis.add(entering)
-        basis.remove(leaving)
         del masses[leaving]
     raise SolverError("transport solver failed to terminate")
 
 
-def _potentials(m, n, cost, basis):
-    """Dual variables solving u_i + v_j = c_ij on the basis tree."""
-    u = [None] * m
-    v = [None] * n
-    adj_row: dict[int, list[int]] = {}
-    adj_col: dict[int, list[int]] = {}
-    for i, j in basis:
-        adj_row.setdefault(i, []).append(j)
-        adj_col.setdefault(j, []).append(i)
-    u[0] = cost[0][0] * 0  # zero of the cost's arithmetic type
-    stack = [("r", 0)]
+def _basis_tree(m, n, cost, cells):
+    """Walk the basis tree from row 0: potentials with u_0 = 0 and
+    u_i + v_j = c_ij on every basic cell (rows first, then columns), and
+    each node's parent and depth."""
+    adj = [[] for _ in range(m + n)]
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot = [None] * (m + n)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    pot[0] = cost[0][0] * 0  # zero of the cost's arithmetic type
+    stack = [0]
+    reached = 1
     while stack:
-        kind, idx = stack.pop()
-        if kind == "r":
-            for j in adj_row.get(idx, ()):
-                if v[j] is None:
-                    v[j] = cost[idx][j] - u[idx]
-                    stack.append(("c", j))
-        else:
-            for i in adj_col.get(idx, ()):
-                if u[i] is None:
-                    u[i] = cost[i][idx] - v[idx]
-                    stack.append(("r", i))
-    return u, v
-
-
-def _basis_cycle(entering, basis):
-    """The unique cycle created by adding ``entering`` to the basis tree,
-    listed as cells starting with ``entering`` and alternating +/- positions."""
-    ei, ej = entering
-    # path from row ei to col ej through basis edges
-    adj: dict = {}
-    for i, j in basis:
-        adj.setdefault(("r", i), []).append(("c", j))
-        adj.setdefault(("c", j), []).append(("r", i))
-    start, goal = ("r", ei), ("c", ej)
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        current = queue.pop(0)
-        if current == goal:
-            break
-        for nxt in adj.get(current, ()):
-            if nxt not in prev:
-                prev[nxt] = current
-                queue.append(nxt)
-    if goal not in prev:
+        x = stack.pop()
+        for y in adj[x]:
+            if pot[y] is None:
+                pot[y] = (cost[x][y - m] if x < m else cost[y][x - m]) - pot[x]
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                reached += 1
+                stack.append(y)
+    if reached < m + n:
         raise SolverError("degenerate basis lost connectivity")
-    path = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()  # row ei ... col ej alternating
-    cells = [entering]
-    for k in range(len(path) - 1):
-        a, bnode = path[k], path[k + 1]
-        if a[0] == "r":
-            cells.append((a[1], bnode[1]))
-        else:
-            cells.append((bnode[1], a[1]))
-    return cells
+    return pot, parent, depth
 
 
 # -- nested distance -----------------------------------------------------------
@@ -304,10 +278,17 @@ class NestedDistanceTable:
         return res_a, res_b
 
 
-def _plan_on_atoms(plan: TransportPlan, left_atoms, right_atoms):
-    return tuple(
-        (left_atoms[i], right_atoms[j], w) for i, j, w in plan.support
+def _solve_laws(law_a, law_b, cost_of):
+    """Transport between two (atom, weight) laws under ``cost_of(x, y)``;
+    returns ``(value, plan)`` with the plan as (atom, atom, weight) triples."""
+    atoms_a = [x for x, _ in law_a]
+    atoms_b = [y for y, _ in law_b]
+    value, plan = ot_solve(
+        [w for _, w in law_a],
+        [w for _, w in law_b],
+        [[cost_of(x, y) for y in atoms_b] for x in atoms_a],
     )
+    return value, tuple((atoms_a[i], atoms_b[j], w) for i, j, w in plan.support)
 
 
 def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanceTable]:
@@ -337,22 +318,12 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
                 if t == n:
                     table[(alpha, beta)] = StageEntry(cost=stage, plan=None)
                     continue
-                succ_a = [atom for atom, _ in alpha.law]
-                succ_b = [atom for atom, _ in beta.law]
-                cost = [
-                    [below[(x, y)].cost for y in succ_b] for x in succ_a
-                ]
-                value, plan = ot_solve(
-                    [w for _, w in alpha.law], [w for _, w in beta.law], cost
+                value, plan = _solve_laws(
+                    alpha.law, beta.law, lambda x, y: below[(x, y)].cost
                 )
-                table[(alpha, beta)] = StageEntry(
-                    cost=stage + value, plan=_plan_on_atoms(plan, succ_a, succ_b)
-                )
-    top_a = [atom for atom, _ in form_a.law]
-    top_b = [atom for atom, _ in form_b.law]
-    cost = [[tables[0][(x, y)].cost for y in top_b] for x in top_a]
-    value, plan = ot_solve(
-        [w for _, w in form_a.law], [w for _, w in form_b.law], cost
+                table[(alpha, beta)] = StageEntry(cost=stage + value, plan=plan)
+    value, plan = _solve_laws(
+        form_a.law, form_b.law, lambda x, y: tables[0][(x, y)].cost
     )
     truncated = False
     if cfg.is_weak and value > 1:
@@ -364,7 +335,7 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
         right=form_b,
         levels=tuple(tables),
         root_value=value,
-        root_plan=_plan_on_atoms(plan, top_a, top_b),
+        root_plan=plan,
         truncated=truncated,
     )
     return value, table
@@ -509,31 +480,39 @@ def information_lift_contraction_ratio(tree: FilteredTree):
     cfg = tree.config
     _, table = aw_distance(tree, tree)
     levels_a, levels_b = table.left.levels(), table.right.levels()
-    max_ratio = Fraction(0)
-    for t in range(1, cfg.num_steps):
-        for alpha in levels_a[t - 1]:
-            for beta in levels_b[t - 1]:
-                if alpha is beta:
-                    continue
-                dz = _rooted(table.entry(t, alpha, beta).cost, cfg)
-                succ_a = [atom for atom, _ in alpha.law]
-                succ_b = [atom for atom, _ in beta.law]
-                cost = [
-                    [_rooted(table.entry(t + 1, x, y).cost, cfg) for y in succ_b]
-                    for x in succ_a
-                ]
-                w1, _ = ot_solve(
-                    [w for _, w in alpha.law], [w for _, w in beta.law], cost
-                )
-                if dz == 0:
-                    if w1 != 0:
-                        return float("inf")
-                    continue
-                ratio = w1 / dz if isinstance(w1, Fraction) and isinstance(dz, Fraction) \
-                    else float(w1) / float(dz)
-                if ratio > max_ratio:
-                    max_ratio = ratio
-    return max_ratio
+
+    def pairs():
+        for t in range(1, cfg.num_steps):
+            for alpha in levels_a[t - 1]:
+                for beta in levels_b[t - 1]:
+                    if alpha is not beta:
+                        yield (
+                            None, alpha.law, beta.law,
+                            lambda x, y: _rooted(table.entry(t + 1, x, y).cost, cfg),
+                            _rooted(table.entry(t, alpha, beta).cost, cfg),
+                        )
+
+    return _worst_ratio(pairs())[0]
+
+
+def _worst_ratio(pairs, bound=math.inf):
+    """Largest ratio of W1 between two kernels to the gap between their
+    states, over ``(key, law, law, cost_of, gap)`` pairs.  Returns the
+    ratio (0 if none), the key it was first reached at, and whether any
+    ratio exceeded ``bound``; a zero gap with a nonzero W1 returns inf."""
+    worst, witness, exceeded = Fraction(0), None, False
+    for key, law_a, law_b, cost_of, gap in pairs:
+        w1, _ = _solve_laws(law_a, law_b, cost_of)
+        if gap == 0:
+            if w1 != 0:
+                return float("inf"), key, True
+            continue
+        ratio = w1 / gap if isinstance(w1, Fraction) and isinstance(gap, Fraction) \
+            else float(w1) / float(gap)
+        if ratio > worst:
+            worst, witness = ratio, key
+        exceeded = exceeded or ratio > bound
+    return worst, witness, exceeded
 
 
 def _rooted(cost, cfg: MetricConfig):

@@ -145,6 +145,7 @@ class TestDistance:
     def test_bad_order_exits_3(self, capsys, x_path, y_path):
         assert main(["distance", x_path, y_path, "--p", "-1"]) == 3
         assert main(["distance", x_path, y_path, "--p", "zero"]) == 3
+        assert main(["distance", x_path, y_path, "--p", "1/2"]) == 3
 
 
 class TestWorkPerCommand:
@@ -283,6 +284,27 @@ class TestCoupling:
         out = capsys.readouterr().out
         assert "bicausal: False" in out
         assert "violated at time 1" in out
+
+    @pytest.mark.parametrize(
+        "broken",
+        ["missing", "malformed", "support_not_array", "id_not_string"],
+    )
+    def test_check_bad_document_exits_3(self, capsys, tmp_path, broken):
+        x = helpers.bernoulli_x()
+        doc = PathCoupling(x, x, {("a+", "a+"): F(1, 2), ("a-", "a-"): F(1, 2)}).to_document()
+        text = {
+            "missing": None,
+            "malformed": json.dumps(doc)[:-1],
+            "support_not_array": json.dumps({**doc, "support": 5}),
+            "id_not_string": json.dumps(
+                {**doc, "support": [{"left": ["a"], "right": "a+", "weight": "1"}]}
+            ),
+        }[broken]
+        path = tmp_path / "coupling.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        assert main(["coupling", "--check", str(path)]) == 3
+        assert "error[DocumentError]" in capsys.readouterr().err
 
     def test_assemble_and_transfer(self, capsys, x_path, y_path):
         assert main(["coupling", x_path, y_path, "--transfer-m", "2"]) == 0

@@ -173,6 +173,52 @@ class TestFlatSolver:
             assert plan.matches_marginals(mu, nu)
             assert len(plan.support) <= m + n - 1
 
+    @pytest.mark.parametrize(
+        "mu, nu, cost, value, support",
+        [
+            # all costs equal: every plan is optimal, the north-west start stays
+            (
+                [F(1, 3)] * 3,
+                [F(1, 4)] * 4,
+                [[1] * 4] * 3,
+                1,
+                {(0, 0): F(1, 4), (0, 1): F(1, 12), (1, 1): F(1, 6),
+                 (1, 2): F(1, 6), (2, 2): F(1, 12), (2, 3): F(1, 4)},
+            ),
+            # two cost levels: any plan on the even cells is optimal (2 pivots)
+            (
+                [F(1, 4)] * 4,
+                [F(1, 4)] * 4,
+                [[(i + j) % 2 for j in range(4)] for i in range(4)],
+                0,
+                {(k, k): F(1, 4) for k in range(4)},
+            ),
+            (
+                [F(1, 2), F(1, 4), F(1, 4)],
+                [F(1, 3)] * 3,
+                [[2 - 2 * ((i + j) % 2) for j in range(3)] for i in range(3)],
+                F(5, 6),
+                {(0, 0): F(1, 6), (0, 1): F(1, 3), (1, 0): F(1, 6),
+                 (1, 2): F(1, 12), (2, 2): F(1, 4)},
+            ),
+            # anti-diagonal cost: the north-west start is far off (6 pivots)
+            (
+                [F(1, 3)] * 3,
+                [F(1, 4)] * 4,
+                [[abs(i + j - 3) for j in range(4)] for i in range(3)],
+                F(1, 2),
+                {(0, 2): F(1, 12), (0, 3): F(1, 4), (1, 1): F(1, 6),
+                 (1, 2): F(1, 6), (2, 0): F(1, 4), (2, 1): F(1, 12)},
+            ),
+        ],
+        ids=["all_equal", "two_levels_4x4", "two_levels_3x3", "anti_diagonal"],
+    )
+    def test_pins_plan_under_ties(self, mu, nu, cost, value, support):
+        # Bland's rule fixes which of several optimal plans is returned
+        got, plan = ot_solve(mu, nu, cost)
+        assert got == value
+        assert plan.as_dict() == support
+
     def test_integer_costs_are_exact(self):
         value, plan = ot_solve([F(1, 3), F(2, 3)], [F(1, 2)] * 2, [[2, 1], [1, 3]])
         assert value == F(4, 3)
