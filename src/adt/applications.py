@@ -261,25 +261,18 @@ def optimal_stopping(tree: FilteredTree, payoff: PayoffSpec) -> StoppingResult:
         )
     node_values: dict[str, Fraction] = {}
     rule: dict[str, str] = {}
-
-    def solve(node_id: str) -> Fraction:
-        node = tree.node(node_id)
-        path = tree.value_path(node_id)
-        stop_now = payoff.value(node.time, path)
-        if node.is_leaf:
-            node_values[node_id] = stop_now
-            rule[node_id] = "stop"
-            return stop_now
-        cont = sum((q * solve(cid) for cid, q in node.children), Fraction(0))
-        if stop_now >= cont:
-            node_values[node_id] = stop_now
-            rule[node_id] = "stop"
-        else:
-            node_values[node_id] = cont
-            rule[node_id] = "continue"
-        return node_values[node_id]
-
-    total = sum((q * solve(cid) for cid, q in tree.root_children), Fraction(0))
+    for t in range(cfg.num_steps, 0, -1):
+        for node_id in tree.level(t):
+            node = tree.node(node_id)
+            stop_now = payoff.value(t, tree.value_path(node_id))
+            cont = sum((q * node_values[cid] for cid, q in node.children), Fraction(0))
+            if node.is_leaf or stop_now >= cont:
+                node_values[node_id] = stop_now
+                rule[node_id] = "stop"
+            else:
+                node_values[node_id] = cont
+                rule[node_id] = "continue"
+    total = sum((q * node_values[cid] for cid, q in tree.root_children), Fraction(0))
     return StoppingResult(value=total, rule=rule, node_values=node_values)
 
 
@@ -365,34 +358,17 @@ def doob(tree: FilteredTree) -> DoobDecomposition:
     martingale: dict[str, tuple[Fraction, ...]] = {}
     predictable: dict[str, tuple[Fraction, ...]] = {}
     d = tree.config.dim
-
-    def descend(parent_id: str | None, a_parent: tuple[Fraction, ...]) -> None:
-        edges = tree.children(parent_id)
-        if not edges:
-            return
-        if parent_id is None:
-            for cid, _ in edges:
-                predictable[cid] = a_parent
-                martingale[cid] = tuple(
-                    v - a for v, a in zip(tree.node(cid).value, a_parent)
-                )
-                descend(cid, a_parent)
-            return
-        parent_value = tree.node(parent_id).value
+    # nodes in pre-order, so each parent's predictable part is known first
+    a_next: dict[str | None, tuple[Fraction, ...]] = {None: tuple(Fraction(0) for _ in range(d))}
+    for node in tree.nodes():
+        a = predictable[node.node_id] = a_next[tree.parent(node.node_id)]
+        martingale[node.node_id] = tuple(v - x for v, x in zip(node.value, a))
         drift = [Fraction(0)] * d
-        for cid, q in edges:
+        for cid, q in node.children:
             child_value = tree.node(cid).value
             for i in range(d):
-                drift[i] += q * (child_value[i] - parent_value[i])
-        a_child = tuple(a + inc for a, inc in zip(a_parent, drift))
-        for cid, _ in edges:
-            predictable[cid] = a_child
-            martingale[cid] = tuple(
-                v - a for v, a in zip(tree.node(cid).value, a_child)
-            )
-            descend(cid, a_child)
-
-    descend(None, tuple(Fraction(0) for _ in range(d)))
+                drift[i] += q * (child_value[i] - node.value[i])
+        a_next[node.node_id] = tuple(x + inc for x, inc in zip(a, drift))
     return DoobDecomposition(tree=tree, martingale=martingale, predictable=predictable)
 
 

@@ -13,9 +13,10 @@ import hashlib
 import itertools
 import json
 import threading
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import ConfigMismatchError, NotMarkovError, TreeValidationError
 from .process_model import (
@@ -23,6 +24,8 @@ from .process_model import (
     FilteredTree,
     MetricConfig,
     TreeNode,
+    _postorder,
+    _unfold,
 )
 
 __all__ = [
@@ -57,25 +60,17 @@ class NestedAtom:
     deterministic arrangement of atoms is needed.
     """
 
-    __slots__ = ("value", "law", "uid", "_key", "_depth")
+    __slots__ = ("value", "law", "uid", "_key", "__weakref__")
 
     def __init__(self, value: tuple[Fraction, ...], law: tuple[tuple["NestedAtom", Fraction], ...], uid: int):
         self.value = value
         self.law = law
         self.uid = uid
         self._key = None
-        self._depth = 0
 
     @property
     def is_terminal(self) -> bool:
         return not self.law
-
-    @property
-    def depth(self) -> int:
-        """Number of time steps the atom spans (1 for terminal atoms)."""
-        if self._depth == 0:
-            self._depth = 1 if not self.law else 1 + self.law[0][0].depth
-        return self._depth
 
     @property
     def sort_key(self):
@@ -90,7 +85,11 @@ class NestedAtom:
         return f"atom({head};{len(self.law)} succ)"
 
 
-_INTERN: dict = {}
+# Weak values: an atom leaves the table once no live tree, form or table
+# holds it.  Identity across live trees still holds, because a live atom
+# keeps its whole successor structure alive through ``law`` and the keys
+# hold child uids, not atoms.
+_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
 _UID_COUNTER = [0]
 
@@ -138,22 +137,16 @@ class CanonicalForm:
         return self.law == other.law
 
     def digest(self) -> str:
-        """Stable content hash, independent of intern table state and node ids."""
-        ordered: list[NestedAtom] = []
+        """Stable content hash, independent of intern table state and node ids.
+
+        Atoms are numbered in the order a depth-first walk from the top law
+        first finishes them, children before parents."""
         index: dict[NestedAtom, int] = {}
-
-        def visit(atom: NestedAtom) -> int:
-            if atom in index:
-                return index[atom]
-            child_ids = [(visit(child), str(w)) for child, w in atom.law]
-            idx = len(ordered)
-            index[atom] = idx
-            ordered.append(atom)
-            atom_repr.append([[str(v) for v in atom.value], child_ids])
-            return idx
-
         atom_repr: list = []
-        top = [(visit(a), str(w)) for a, w in self.law]
+        for atom, law in _postorder(self.law, lambda a: a.law):
+            index[atom] = len(atom_repr)
+            atom_repr.append([[str(v) for v in atom.value], [(index[c], str(w)) for c, w in law]])
+        top = [(index[a], str(w)) for a, w in self.law]
         payload = json.dumps(
             {
                 "N": self.config.num_steps,
@@ -217,24 +210,12 @@ def canonical_tree(form: CanonicalForm) -> FilteredTree:
     Node info labels expose the per-level canonical rank of the atom.
     """
     ranks = atom_level_ranks(form)
-    nodes: dict[str, TreeNode] = {}
-    counter = [0]
-
-    def build(atom: NestedAtom, time: int) -> str:
-        counter[0] += 1
-        node_id = f"c{time}.{counter[0]}"
-        children = tuple((build(child, time + 1), w) for child, w in atom.law)
-        nodes[node_id] = TreeNode(
-            node_id=node_id,
-            time=time,
-            value=atom.value,
-            info=f"a{ranks[time - 1][atom]}",
-            children=children,
-        )
-        return node_id
-
-    root_children = tuple((build(atom, 1), w) for atom, w in form.law)
-    return FilteredTree(form.config, nodes, root_children)
+    return _unfold(
+        form.config,
+        form.law,
+        lambda atom: atom.law,
+        lambda atom, time, k: (f"c{time}.{k}", atom.value, f"a{ranks[time - 1][atom]}"),
+    )
 
 
 def hk_equivalent(a: FilteredTree, b: FilteredTree) -> bool:
@@ -253,24 +234,21 @@ def digest_tree(tree: FilteredTree) -> str:
 # -- conditional-law checks -------------------------------------------------
 
 
-def _future_paths(tree: FilteredTree, node_id: str, label: Callable[[TreeNode], object],
-                  memo: dict) -> dict[tuple, Fraction]:
-    """Conditional law of the future label path strictly after the node."""
-    cached = memo.get(node_id)
-    if cached is not None:
-        return cached
-    node = tree.node(node_id)
-    if node.is_leaf:
-        law = {(): Fraction(1)}
-    else:
-        law = {}
-        for cid, p in node.children:
-            child_label = label(tree.node(cid))
-            for path, w in _future_paths(tree, cid, label, memo).items():
-                key = (child_label,) + path
-                law[key] = law.get(key, Fraction(0)) + p * w
-    memo[node_id] = law
-    return law
+def _future_paths(tree: FilteredTree, label: Callable[[TreeNode], object]) -> dict[str, dict]:
+    """Per node, the conditional law of the future label path strictly
+    after it, built level by level from the leaves up."""
+    laws: dict[str, dict[tuple, Fraction]] = {}
+    for t in range(tree.config.num_steps, 0, -1):
+        for node_id in tree.level(t):
+            node = tree.node(node_id)
+            law = {} if node.children else {(): Fraction(1)}
+            for cid, p in node.children:
+                child_label = label(tree.node(cid))
+                for path, w in laws[cid].items():
+                    key = (child_label,) + path
+                    law[key] = law.get(key, Fraction(0)) + p * w
+            laws[node_id] = law
+    return laws
 
 
 def _prefix_groups(tree: FilteredTree, time: int, state: Callable[[TreeNode], object]) -> dict:
@@ -288,12 +266,12 @@ def _conditionally_determined(
 ) -> tuple[bool, tuple | None]:
     """Check that the conditional future label law given the full filtration
     only depends on the state prefix.  Returns (ok, witness)."""
-    memo: dict = {}
+    laws = _future_paths(tree, label)
     for t in range(1, tree.config.num_steps + 1):
         for prefix, members in _prefix_groups(tree, t, state).items():
-            reference = _future_paths(tree, members[0], label, memo)
+            reference = laws[members[0]]
             for other in members[1:]:
-                if _future_paths(tree, other, label, memo) != reference:
+                if laws[other] != reference:
                     return False, (t, members[0], other)
     return True, None
 
@@ -508,14 +486,9 @@ def subtree_process(tree: FilteredTree, node_id: str) -> FilteredTree:
             f"node {node_id!r} is terminal; no subtree process remains", node_id
         )
     nodes: dict[str, TreeNode] = {}
-    offset = node.time
-
-    def copy(nid: str) -> None:
-        n = tree.node(nid)
-        nodes[nid] = replace(n, time=n.time - offset)
-        for cid, _ in n.children:
-            copy(cid)
-
-    for cid, _ in node.children:
-        copy(cid)
+    stack = [cid for cid, _ in node.children]
+    while stack:
+        n = tree.node(stack.pop())
+        nodes[n.node_id] = replace(n, time=n.time - node.time)
+        stack.extend(cid for cid, _ in n.children)
     return FilteredTree(replace(cfg, num_steps=remaining), nodes, node.children)

@@ -312,7 +312,7 @@ def _cmd_coupling(args) -> int:
     if args.check:
         try:
             text = Path(args.check).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DocumentError(f"cannot read coupling document {args.check}: {exc}") from exc
         coupling = load_coupling(text)
         report = check_bicausal(coupling)
@@ -401,18 +401,13 @@ def _cmd_quantile(args) -> int:
     qmap = quantile_map(tree)
     n = tree.config.num_steps
     breaks = qmap.partition.breakpoints(n)
-    boxes: list[dict] = []
-
-    def walk(cells, intervals, path):
-        for cell in cells:
-            nxt_i = intervals + [[str(cell.lo), str(cell.hi)]]
-            nxt_p = path + [[str(v) for v in cell.atom.value]]
-            if cell.children:
-                walk(cell.children, nxt_i, nxt_p)
-            else:
-                boxes.append({"intervals": nxt_i, "path": nxt_p})
-
-    walk(qmap.cells, [], [])
+    boxes = [
+        {
+            "intervals": [[str(cell.lo), str(cell.hi)] for cell in box],
+            "path": [[str(v) for v in cell.atom.value] for cell in box],
+        }
+        for box in qmap.partition.boxes()
+    ]
     print(f"boxes = {len(boxes)}")
     for t, points in enumerate(breaks, start=1):
         print(f"breakpoints[{t}] = {', '.join(str(x) for x in points)}")

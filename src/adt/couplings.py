@@ -34,6 +34,8 @@ from .process_model import (
     FilteredTree,
     MetricConfig,
     TreeNode,
+    _postorder,
+    _unfold,
     load_tree,
     parse_probability,
     path_cost,
@@ -268,29 +270,31 @@ def assemble_optimal_coupling(
             out[atom] = out.get(atom, Fraction(0)) + p
         return out
 
-    def descend(u: str | None, v: str | None, weight: Fraction, plan) -> None:
-        edges_a = a.children(u)
-        edges_b = b.children(v)
-        mass_a = masses(edges_a, res_a.node_atom)
-        mass_b = masses(edges_b, res_b.node_atom)
-        plan_map = {(x, y): w for x, y, w in plan}
-        for cu, q in edges_a:
-            atom_u = res_a.node_atom[cu]
-            for cv, r in edges_b:
-                atom_v = res_b.node_atom[cv]
-                base = plan_map.get((atom_u, atom_v), Fraction(0))
-                if base == 0:
-                    continue
-                w = weight * base * (q / mass_a[atom_u]) * (r / mass_b[atom_v])
-                child_a = a.node(cu)
-                if child_a.is_leaf:
-                    weights[(cu, cv)] = weights.get((cu, cv), Fraction(0)) + w
-                else:
-                    time = child_a.time
-                    entry = table.entry(time, atom_u, atom_v)
-                    descend(cu, cv, w, entry.plan)
-
-    descend(None, None, Fraction(1), table.root_plan)
+    # node pairs level by level, each with its mass and the plan between
+    # the successor laws of its atoms; leaf pairs come out in depth-first order
+    level = [(None, None, Fraction(1), table.root_plan)]
+    while level:
+        nxt = []
+        for u, v, weight, plan in level:
+            edges_a = a.children(u)
+            edges_b = b.children(v)
+            mass_a = masses(edges_a, res_a.node_atom)
+            mass_b = masses(edges_b, res_b.node_atom)
+            plan_map = {(x, y): w for x, y, w in plan}
+            for cu, q in edges_a:
+                atom_u = res_a.node_atom[cu]
+                for cv, r in edges_b:
+                    atom_v = res_b.node_atom[cv]
+                    base = plan_map.get((atom_u, atom_v), Fraction(0))
+                    if base == 0:
+                        continue
+                    w = weight * base * (q / mass_a[atom_u]) * (r / mass_b[atom_v])
+                    child_a = a.node(cu)
+                    if child_a.is_leaf:
+                        weights[(cu, cv)] = w
+                    else:
+                        nxt.append((cu, cv, w, table.entry(child_a.time, atom_u, atom_v).plan))
+        level = nxt
     return PathCoupling(a, b, weights)
 
 
@@ -470,34 +474,22 @@ def extend_with_randomization(tree: FilteredTree, m: int) -> RandomizedExtension
         raise SolverError(f"grid size must be at least 2, got {m}")
     cfg = tree.config
     inv_m = Fraction(1, m)
-    nodes: dict[str, TreeNode] = {}
     node_map: dict[str, tuple[str, tuple[int, ...]]] = {}
-    counter = [0]
 
-    def build(base_id: str, chain: tuple[int, ...]) -> str:
-        counter[0] += 1
-        base = tree.node(base_id)
-        ext_id = f"e{base.time}.{counter[0]}"
-        kids = []
-        for cid, q in base.children:
-            for g in range(m):
-                kids.append((build(cid, chain + (g,)), q * inv_m))
-        digit = chain[-1]
-        nodes[ext_id] = TreeNode(
-            node_id=ext_id,
-            time=base.time,
-            value=base.value,
-            info=f"{base.info}|u{digit}",
-            children=tuple(kids),
-        )
-        node_map[ext_id] = (base_id, chain)
-        return ext_id
+    def split(edges, chain):
+        return [((cid, chain + (g,)), q * inv_m) for cid, q in edges for g in range(m)]
 
-    root = []
-    for cid, q in tree.root_children:
-        for g in range(m):
-            root.append((build(cid, (g,)), q * inv_m))
-    ext_tree = FilteredTree(cfg, nodes, root)
+    def describe(item, time, k):
+        base, ext_id = tree.node(item[0]), f"e{time}.{k}"
+        node_map[ext_id] = item
+        return ext_id, base.value, f"{base.info}|u{item[1][-1]}"
+
+    ext_tree = _unfold(
+        cfg,
+        split(tree.root_children, ()),
+        lambda item: split(tree.node(item[0]).children, item[1]),
+        describe,
+    )
     return RandomizedExtension(base=tree, m=m, tree=ext_tree, node_map=node_map)
 
 
@@ -518,8 +510,7 @@ def verify_extension(ext: RandomizedExtension) -> bool:
     weights: dict[tuple[str, str], Fraction] = {}
     for leaf in etree.leaves():
         base_leaf, chain = ext.node_map[leaf]
-        grid_leaf = _grid_leaf_id(chain)
-        key = (base_leaf, grid_leaf)
+        key = (base_leaf, _grid_node_id(chain))
         weights[key] = weights.get(key, Fraction(0)) + etree.prob(leaf)
     joint = PathCoupling(base, grid, weights)
     return check_causal(joint, "left_to_right").ok
@@ -527,35 +518,21 @@ def verify_extension(ext: RandomizedExtension) -> bool:
 
 def _uniform_grid_tree(m: int, like: MetricConfig) -> FilteredTree:
     """The i.i.d. uniform digit process on {0, ..., m-1}^N."""
-    n = like.num_steps
     inv_m = Fraction(1, m)
-    nodes: dict[str, TreeNode] = {}
 
-    def build(time: int, chain: tuple[int, ...]) -> str:
-        node_id = _grid_node_id(time, chain)
-        if time == n:
-            kids = ()
-        else:
-            kids = tuple((build(time + 1, chain + (g,)), inv_m) for g in range(m))
-        nodes[node_id] = TreeNode(
-            node_id=node_id,
-            time=time,
-            value=(Fraction(chain[-1]),),
-            info="",
-            children=kids,
-        )
-        return node_id
+    def digits(chain):
+        return [(chain + (g,), inv_m) for g in range(m)]
 
-    root = tuple((build(1, (g,)), inv_m) for g in range(m))
-    return FilteredTree(replace(like, dim=1), nodes, root)
+    return _unfold(
+        replace(like, dim=1),
+        digits(()),
+        digits,
+        lambda chain, time, k: (_grid_node_id(chain), (Fraction(chain[-1]),), ""),
+    )
 
 
-def _grid_node_id(time: int, chain: tuple[int, ...]) -> str:
+def _grid_node_id(chain: tuple[int, ...]) -> str:
     return "g" + "-".join(str(g) for g in chain)
-
-
-def _grid_leaf_id(chain: tuple[int, ...]) -> str:
-    return _grid_node_id(len(chain), chain)
 
 
 def verify_randomization_independence(ext: RandomizedExtension) -> bool:
@@ -638,26 +615,15 @@ def transfer(product: ProductTree, target: RandomizedExtension) -> TransferResul
     res_p = information_process(prod_tree)
     res_base = information_process(base)
 
+    # first-coordinate atom of every pair atom, children before parents
     first_atom: dict[NestedAtom, NestedAtom] = {}
-
-    def project_atom(gamma: NestedAtom) -> NestedAtom:
-        hit = first_atom.get(gamma)
-        if hit is not None:
-            return hit
-        value = gamma.value[:d]
-        if gamma.is_terminal:
-            atom = _intern(value, ())
-        else:
-            atom = _intern(
-                value, ((project_atom(child), w) for child, w in gamma.law)
-            )
-        first_atom[gamma] = atom
-        return atom
+    for gamma, law in _postorder(res_p.form.law, lambda g: g.law):
+        first_atom[gamma] = _intern(gamma.value[:d], ((first_atom[c], w) for c, w in law))
 
     def pushed(law) -> dict[NestedAtom, dict[NestedAtom, Fraction]]:
         grouped: dict[NestedAtom, dict[NestedAtom, Fraction]] = {}
         for gamma, w in law:
-            alpha = project_atom(gamma)
+            alpha = first_atom[gamma]
             bucket = grouped.setdefault(alpha, {})
             bucket[gamma] = bucket.get(gamma, Fraction(0)) + w
         return grouped

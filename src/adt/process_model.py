@@ -532,7 +532,7 @@ def load_tree_file(path) -> FilteredTree:
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 document = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise DocumentError(f"malformed JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise DocumentError(f"cannot read tree document {path}: {exc}") from exc
@@ -575,6 +575,68 @@ def _parse_edges(raw, context: str) -> tuple[tuple[str, Fraction], ...]:
             raise DocumentError(f"{context}: edge id must be a non-empty string")
         edges.append((cid, parse_probability(entry["prob"])))
     return tuple(edges)
+
+
+# -- walks ------------------------------------------------------------------
+# Every stage-by-stage walk runs as a loop, so the horizon is bounded by
+# memory and never by the interpreter's recursion limit.
+
+
+def _postorder(roots: Sequence, children) -> Iterator[tuple[object, Sequence]]:
+    """Depth-first walk of a finite DAG with an explicit stack.
+
+    ``roots`` and ``children(node)`` are sequences of ``(node, weight)``
+    edges.  Yields every node reachable from ``roots`` once, as
+    ``(node, children(node))``, in the order a recursive walk would finish
+    the nodes, so each child comes before its parents.  ``children`` is
+    called once per node, in the order a recursive walk would first reach
+    the nodes (pre-order).
+    """
+    seen = set()
+    # a frame is a node, its edges and the iterator over the edges not yet
+    # followed; the bottom frame stands for the roots
+    stack = [(None, roots, iter(roots))]
+    while stack:
+        node, edges, rest = stack[-1]
+        for child, _ in rest:
+            if child not in seen:
+                seen.add(child)
+                kids = children(child)
+                if kids:
+                    stack.append((child, kids, iter(kids)))
+                    break
+                yield child, kids
+        else:
+            stack.pop()
+            if stack:
+                yield node, edges
+
+
+def _unfold(config: MetricConfig, roots: Sequence, children, describe) -> FilteredTree:
+    """Unfold a structure into a filtered tree with an explicit stack.
+
+    ``roots`` and ``children(item)`` are sequences of ``(item, probability)``
+    edges; items at time ``config.num_steps`` are leaves.
+    ``describe(item, time, k)`` returns ``(node_id, value, info)`` for the
+    k-th node (from 1) in pre-order, the order a recursive unfold numbers
+    its nodes in.
+    """
+    built: list = []
+    root_edges: list = []
+    stack = [(item, p, 1, root_edges) for item, p in reversed(roots)]
+    while stack:
+        item, p, time, siblings = stack.pop()
+        node_id, value, info = describe(item, time, len(built) + 1)
+        siblings.append((node_id, p))
+        kids: list = []
+        built.append((node_id, time, value, info, kids))
+        if time < config.num_steps:
+            stack.extend((child, q, time + 1, kids) for child, q in reversed(children(item)))
+    nodes = {
+        node_id: TreeNode(node_id, time, value, info, tuple(kids))
+        for node_id, time, value, info, kids in built
+    }
+    return FilteredTree(config, nodes, root_edges)
 
 
 def path_cost(

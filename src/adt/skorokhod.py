@@ -10,6 +10,7 @@ gap is computable exactly by sweeping the common interval refinement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,6 +22,8 @@ from .process_model import (
     FilteredTree,
     MetricConfig,
     TreeNode,
+    _postorder,
+    _unfold,
     law_on_paths,
     path_cost,
     path_distance,
@@ -71,19 +74,21 @@ class BoxPartition:
 
     cells: tuple[QuantileCell, ...]
 
+    def boxes(self) -> list[tuple[QuantileCell, ...]]:
+        """Every box as its root-to-leaf chain of cells, in depth-first
+        order; built level by level, expanding each level's chains in order."""
+        chains = [(cell,) for cell in self.cells]
+        while chains and chains[0][-1].children:
+            chains = [chain + (child,) for chain in chains for child in chain[-1].children]
+        return chains
+
     def breakpoints(self, num_steps: int) -> list[list[Fraction]]:
         """Per stage, the sorted union of all interval endpoints in use."""
-        levels: list[set[Fraction]] = [set() for _ in range(num_steps)]
-
-        def walk(cells: tuple[QuantileCell, ...], t: int) -> None:
-            for cell in cells:
-                levels[t].add(cell.lo)
-                levels[t].add(cell.hi)
-                if cell.children:
-                    walk(cell.children, t + 1)
-
-        walk(self.cells, 0)
-        return [sorted(points) for points in levels]
+        out, cells = [], self.cells
+        for _ in range(num_steps):
+            out.append(sorted({x for cell in cells for x in (cell.lo, cell.hi)}))
+            cells = [child for cell in cells for child in cell.children]
+        return out
 
 
 @dataclass(frozen=True)
@@ -99,16 +104,13 @@ class QuantileMap:
         return self.partition.cells
 
 
-def _cells_for_law(law, cache: dict) -> tuple[QuantileCell, ...]:
+def _cells_for_law(law, cells: dict) -> tuple[QuantileCell, ...]:
+    """Consecutive cells for a law, given the child cells of each atom."""
     out = []
     cursor = Fraction(0)
     for atom, weight in law:
         hi = cursor + weight
-        children = cache.get(atom.uid)
-        if children is None:
-            children = _cells_for_law(atom.law, cache)
-            cache[atom.uid] = children
-        out.append(QuantileCell(atom=atom, lo=cursor, hi=hi, children=children))
+        out.append(QuantileCell(atom=atom, lo=cursor, hi=hi, children=cells[atom]))
         cursor = hi
     if out and cursor != 1:
         raise SolverError(f"interval lengths sum to {cursor}, expected 1")
@@ -123,7 +125,10 @@ def quantile_map(tree: FilteredTree) -> QuantileMap:
     (with the interval filtration) is equivalent to the source.
     """
     form = information_process(tree).form
-    cells = _cells_for_law(form.law, {})
+    cells: dict[NestedAtom, tuple[QuantileCell, ...]] = {}
+    for atom, law in _postorder(form.law, lambda a: a.law):
+        cells[atom] = _cells_for_law(law, cells)
+    cells = _cells_for_law(form.law, cells)
     return QuantileMap(config=tree.config, form=form, partition=BoxPartition(cells))
 
 
@@ -153,44 +158,27 @@ def evaluate(qmap: QuantileMap, point: Sequence) -> tuple[tuple[Fraction, ...], 
 def pushforward_path_law(qmap: QuantileMap) -> DiscreteMeasure:
     """Law of the step function under the product Lebesgue measure: each box
     carries its volume (product of interval lengths)."""
-    pairs: list[tuple[tuple, Fraction]] = []
-
-    def walk(cells, prefix: tuple, volume: Fraction) -> None:
-        for cell in cells:
-            path = prefix + (cell.atom.value,)
-            vol = volume * cell.length
-            if cell.children:
-                walk(cell.children, path, vol)
-            else:
-                pairs.append((path, vol))
-
-    walk(qmap.cells, (), Fraction(1))
-    return DiscreteMeasure.from_pairs(pairs)
+    return DiscreteMeasure.from_pairs(
+        (
+            tuple(cell.atom.value for cell in box),
+            math.prod((cell.length for cell in box), start=Fraction(1)),
+        )
+        for box in qmap.partition.boxes()
+    )
 
 
 def induced_tree(qmap: QuantileMap) -> FilteredTree:
     """The process the quantile map induces on the cube, as a filtered tree:
     nodes are interval cells, info labels record the interval."""
-    nodes: dict[str, TreeNode] = {}
-    counter = [0]
+    def edges(cells):
+        return [(cell, cell.length) for cell in cells]
 
-    def build(cell: QuantileCell, time: int) -> str:
-        counter[0] += 1
-        node_id = f"q{time}.{counter[0]}"
-        kids = tuple(
-            (build(child, time + 1), child.length) for child in cell.children
-        )
-        nodes[node_id] = TreeNode(
-            node_id=node_id,
-            time=time,
-            value=cell.atom.value,
-            info=f"[{cell.lo},{cell.hi})",
-            children=kids,
-        )
-        return node_id
-
-    root = tuple((build(cell, 1), cell.length) for cell in qmap.cells)
-    return FilteredTree(qmap.config, nodes, root)
+    return _unfold(
+        qmap.config,
+        edges(qmap.cells),
+        lambda cell: edges(cell.children),
+        lambda cell, time, k: (f"q{time}.{k}", cell.atom.value, f"[{cell.lo},{cell.hi})"),
+    )
 
 
 # -- exact L^p distance between representations --------------------------------
@@ -231,41 +219,39 @@ def lp_distance(f: QuantileMap, g: QuantileMap):
     top_g = [(cell.atom, cell.length) for cell in g.cells]
 
     if cfg.is_weak:
-
-        def walk(a: NestedAtom, b: NestedAtom, acc):
-            acc = acc + cfg.step_cost(a.value, b.value)
-            if acc >= 1:
-                return Fraction(1)
-            if a.is_terminal:
-                return acc
-            total = Fraction(0)
-            for ca, cb, lam in _overlap_laws(a.law, b.law):
-                total += lam * walk(ca, cb, acc)
-            return total
-
-        return sum(
-            (lam * walk(a, b, Fraction(0)) for a, b, lam in _overlap_laws(top_f, top_g)),
-            Fraction(0),
-        )
-
-    memo: dict[tuple[int, int], object] = {}
-
-    def pair(a: NestedAtom, b: NestedAtom):
-        key = (a.uid, b.uid)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = cfg.step_cost(a.value, b.value)
-        if not a.is_terminal:
-            for ca, cb, lam in _overlap_laws(a.law, b.law):
-                total = total + lam * pair(ca, cb)
-        memo[key] = total
+        # the truncation depends on the cost so far, so walk the pair chains
+        # level by level, each with its box volume; exact arithmetic makes
+        # the order of the sum immaterial
+        total = Fraction(0)
+        level = [(a, b, lam, Fraction(0)) for a, b, lam in _overlap_laws(top_f, top_g)]
+        while level:
+            nxt = []
+            for a, b, volume, acc in level:
+                acc = acc + cfg.step_cost(a.value, b.value)
+                if acc >= 1 or a.is_terminal:
+                    total += volume * min(acc, Fraction(1))
+                else:
+                    nxt.extend(
+                        (ca, cb, volume * lam, acc) for ca, cb, lam in _overlap_laws(a.law, b.law)
+                    )
+            level = nxt
         return total
 
-    zero = Fraction(0) if cfg.exact_costs else 0.0
-    total = zero
-    for a, b, lam in _overlap_laws(top_f, top_g):
-        total = total + lam * pair(a, b)
+    def overlaps(law_a, law_b):
+        return [((ca, cb), lam) for ca, cb, lam in _overlap_laws(law_a, law_b)]
+
+    # memoized over the reachable pairs only, children before parents
+    costs: dict[tuple[NestedAtom, NestedAtom], object] = {}
+    top = overlaps(top_f, top_g)
+    pairs = _postorder(top, lambda pair: overlaps(pair[0].law, pair[1].law))
+    for (a, b), edges in pairs:
+        total = cfg.step_cost(a.value, b.value)
+        for child, lam in edges:
+            total = total + lam * costs[child]
+        costs[(a, b)] = total
+    total = Fraction(0) if cfg.exact_costs else 0.0
+    for pair, lam in top:
+        total = total + lam * costs[pair]
     return total
 
 
@@ -278,30 +264,30 @@ def max_pointwise_gap(f: QuantileMap, g: QuantileMap):
     """
     f.config.require_same_shape(g.config, "max_pointwise_gap")
     cfg = f.config
-    best: dict = {"gap": None, "point": None}
-
-    def walk(cells_a, cells_b, xs, ys, point):
-        lo = Fraction(0)
-        for ca, cb, lam in _overlap_laws(
-            [(c, c.length) for c in cells_a], [(c, c.length) for c in cells_b]
-        ):
-            mid = lo + lam / 2
-            lo += lam
-            nxs = xs + (ca.atom.value,)
-            nys = ys + (cb.atom.value,)
-            npoint = point + (mid,)
-            if ca.children and cb.children:
-                walk(ca.children, cb.children, nxs, nys, npoint)
-            else:
+    best_gap = best_point = None
+    # level by level, expanding each level's pairs in order: the boxes come
+    # out in depth-first order, and the first largest gap wins
+    level = [(f.cells, g.cells, (), (), ())]
+    while level:
+        nxt = []
+        for cells_a, cells_b, xs, ys, point in level:
+            lo = Fraction(0)
+            for ca, cb, lam in _overlap_laws(
+                [(c, c.length) for c in cells_a], [(c, c.length) for c in cells_b]
+            ):
+                mid = lo + lam / 2
+                lo += lam
+                nxs, nys, npoint = xs + (ca.atom.value,), ys + (cb.atom.value,), point + (mid,)
+                if ca.children and cb.children:
+                    nxt.append((ca.children, cb.children, nxs, nys, npoint))
+                    continue
                 gap = path_distance(nxs, nys, cfg)
-                if best["gap"] is None or gap > best["gap"]:
-                    best["gap"] = gap
-                    best["point"] = npoint
-
-    walk(f.cells, g.cells, (), (), ())
-    if best["gap"] is None:
+                if best_gap is None or gap > best_gap:
+                    best_gap, best_point = gap, npoint
+        level = nxt
+    if best_gap is None:
         raise SolverError("gap diagnostic found no boxes (empty representation)")
-    return best["gap"], best["point"]
+    return best_gap, best_point
 
 
 def lp_representation_on_common_basis(a: FilteredTree, b: FilteredTree):

@@ -33,6 +33,7 @@ from .process_model import (
     DiscreteMeasure,
     FilteredTree,
     MetricConfig,
+    _postorder,
     law_on_paths,
     path_cost,
 )
@@ -401,7 +402,7 @@ def random_bicausal_cost(table: NestedDistanceTable, seed: int, samples: int) ->
     scale_s = scale_d * scale_d
     laws = {x: [(u, int(w * scale_d)) for u, w in x.law] for x in atoms}
     plans = {
-        pair: [(u, v, int(w * scale_s)) for u, v, w in entry.plan]
+        pair: [((u, v), int(w * scale_s)) for u, v, w in entry.plan]
         for level in levels[:-1]
         for pair, entry in level.items()
     }
@@ -418,32 +419,31 @@ def random_bicausal_cost(table: NestedDistanceTable, seed: int, samples: int) ->
 
     rng = random.Random(seed)
     results = []
+
+    def product_plan(pair):
+        x, y = pair
+        return [((u, v), wu * wv) for u, wu in laws[x] for v, wv in laws[y]]
+
+    def random_plan(pair):
+        # weights enter scaled by D; the greedy then emits plans scaled by S
+        x, y = pair
+        return _random_vertex(
+            [(u, w * scale_d) for u, w in laws[x]],
+            [(v, w * scale_d) for v, w in laws[y]],
+            rng,
+        )
+
     for sample in range(samples):
-        memo: dict = {}
-
-        def plan_for(x, y):
-            if sample == 0:
-                return plans[(x, y)]
-            if sample == 1:
-                return [(u, v, wu * wv) for u, wu in laws[x] for v, wv in laws[y]]
-            # weights enter scaled by D; the greedy then emits plans scaled by S
-            return _random_vertex(
-                [(u, w * scale_d) for u, w in laws[x]],
-                [(v, w * scale_d) for v, w in laws[y]],
-                rng,
-            )
-
-        def cost_at(x, y):
-            total = memo.get((x, y))
-            if total is None:
-                total = stage[(x, y)]
-                if x.law:
-                    for u, v, w in plan_for(x, y):
-                        total += (w if exact else w / scale_s) * cost_at(u, v)
-                memo[(x, y)] = total
-            return total
-
-        total = cost_at(*root)
+        # plans are drawn in the pre-order of first visits, costs summed
+        # children before parents
+        plan_for = plans.get if sample == 0 else product_plan if sample == 1 else random_plan
+        costs: dict = {}
+        for pair, plan in _postorder([(root, 1)], lambda pair: plan_for(pair) if pair[0].law else ()):
+            total = stage[pair]
+            for child, w in plan:
+                total += (w if exact else w / scale_s) * costs[child]
+            costs[pair] = total
+        total = costs[root]
         if exact:
             total = Fraction(total, scale_v * scale_s**n)
             if cfg.is_weak and total > 1:
@@ -452,9 +452,10 @@ def random_bicausal_cost(table: NestedDistanceTable, seed: int, samples: int) ->
     return results
 
 
-def _random_vertex(row_law, col_law, rng) -> list[tuple[object, object, int]]:
+def _random_vertex(row_law, col_law, rng) -> list[tuple[tuple[object, object], int]]:
     """Random vertex of the transportation polytope via greedy filling along
-    a shuffled cell order; all arithmetic on integers."""
+    a shuffled cell order, as ((row, col), weight) pairs; all arithmetic on
+    integers."""
     rem_rows = {i: w for i, w in row_law}
     rem_cols = {j: w for j, w in col_law}
     cells = [(i, j) for i in rem_rows for j in rem_cols]
@@ -463,7 +464,7 @@ def _random_vertex(row_law, col_law, rng) -> list[tuple[object, object, int]]:
     for i, j in cells:
         w = min(rem_rows[i], rem_cols[j])
         if w > 0:
-            out.append((i, j, w))
+            out.append(((i, j), w))
             rem_rows[i] -= w
             rem_cols[j] -= w
     return out

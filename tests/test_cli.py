@@ -49,6 +49,14 @@ class TestValidate:
         assert "error[TreeValidationError]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["validate"], ["canonicalize"], ["coupling", "--check"]])
+def test_non_utf8_document_exits_3(capsys, tmp_path, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")  # a UTF-16 byte-order mark
+    assert main([*command, str(path)]) == 3
+    assert "error[DocumentError]" in capsys.readouterr().err
+
+
 class TestDistance:
     def test_exact_values_printed(self, capsys, x_path, y_path):
         assert main(["distance", x_path, y_path]) == 0
