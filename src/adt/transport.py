@@ -1,25 +1,28 @@
 """Exact optimal transport and the adapted (nested) transport distance.
 
-The solver is a transportation simplex over exact rationals: Bland's rule
-makes it terminate without tolerances, and each pivot walks the basis tree
-once, for the potentials and the parent links that close the entering
-cycle.  For integer cost orders every reported value is an exact
-``Fraction``.  The adapted distance between two filtered processes is a
-backward recursion over pairs of canonical atoms, each pair one transport
-problem between two successor laws.  Its table keeps the two canonical
-forms it was solved on and doubles as the certificate from which optimal
-bicausal couplings are assembled and the sampling oracle composes its
-couplings.
+Every transport problem, flat or nested, is solved by one network simplex
+on integers: ``ot_solve`` scales rational weights and costs by the lcm of
+their denominators, so the pivots compare plain ``int``s and the value is
+one ``Fraction`` at the end.  Pricing scans blocks of rows cyclically, and
+Cunningham's leaving rule on a strongly feasible basis tree keeps the
+method from cycling without tolerances; each pivot updates the tree only
+on the subtree it moves.  Float costs (non-integer orders) run through the
+same simplex with a small pricing tolerance.  The adapted distance between
+two filtered processes is a backward recursion over pairs of canonical
+atoms, each pair one transport problem between two successor laws.  Its
+table keeps the two canonical forms it was solved on and doubles as the
+certificate from which optimal bicausal couplings are assembled and the
+sampling oracle composes its couplings.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from operator import sub
 from typing import Sequence
 
 from .canonical import (
@@ -91,6 +94,11 @@ def ot_solve(mu, nu, cost):
     ``(value, TransportPlan)``.  With rational costs (``int`` or
     ``Fraction``) the value and plan are exact; float costs fall back to a
     small pivot tolerance.
+
+    Rational data is compiled to integers once: the weights are scaled by
+    the lcm of their denominators D and the costs by the lcm of theirs.
+    The simplex runs on plain ints, plan weights come back as
+    ``Fraction(w, D)`` and the value is divided back once at the end.
     """
     a = _as_weights(mu)
     b = _as_weights(nu)
@@ -100,129 +108,189 @@ def ot_solve(mu, nu, cost):
             f"cost matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not match "
             f"marginals of sizes {len(a)} and {len(b)}"
         )
-    for r in rows:
-        for c in r:
-            if c < 0:
-                raise SolverError(f"negative cost {c}")
-    if any(w < 0 for w in a) or any(w < 0 for w in b):
+    flat, cost_scale = _integers([c for r in rows for c in r])
+    if min(flat, default=0) < 0:
+        raise SolverError(f"negative cost {next(c for r in rows for c in r if c < 0)}")
+    weights, weight_scale = _integers(a + b)
+    if min(weights, default=0) < 0:
         raise SolverError("marginal weights must be nonnegative")
-    if sum(a) != sum(b):
-        exact = all(isinstance(w, Rational) for w in a + b)
-        if exact or abs(float(sum(a)) - float(sum(b))) > 1e-12:
+    supply, demand = weights[:len(a)], weights[len(a):]
+    if sum(supply) != sum(demand):
+        if weight_scale or abs(float(sum(a)) - float(sum(b))) > 1e-12:
             raise SolverError(f"marginal totals differ: {sum(a)} vs {sum(b)}")
 
-    live_rows = [i for i, w in enumerate(a) if w > 0]
-    live_cols = [j for j, w in enumerate(b) if w > 0]
+    live_rows = [i for i, w in enumerate(supply) if w > 0]
+    live_cols = [j for j, w in enumerate(demand) if w > 0]
     if not live_rows:
         return Fraction(0), TransportPlan(len(a), len(b), ())
-    sub_a = [a[i] for i in live_rows]
-    sub_b = [b[j] for j in live_cols]
-    sub_cost = [[rows[i][j] for j in live_cols] for i in live_rows]
-    exact = all(isinstance(c, Rational) for row in sub_cost for c in row)
-    tol = Fraction(0) if exact else 1e-12
+    cells = [flat[i * len(b):(i + 1) * len(b)] for i in live_rows]
+    if len(live_cols) < len(b):
+        cells = [[row[j] for j in live_cols] for row in cells]
 
-    masses = _simplex(sub_a, sub_b, sub_cost, tol)
-
-    value = sum(
-        (sub_cost[i][j] * w for (i, j), w in masses.items() if w != 0),
-        Fraction(0) if exact else 0.0,
+    basis = _simplex(
+        [supply[i] for i in live_rows],
+        [demand[j] for j in live_cols],
+        cells,
+        0 if cost_scale else 1e-12,
     )
+
     support = tuple(
-        sorted(
-            (live_rows[i], live_cols[j], w)
-            for (i, j), w in masses.items()
-            if w > 0
-        )
+        (live_rows[i], live_cols[j], Fraction(w, weight_scale) if weight_scale else w)
+        for i, j, w in sorted(basis)
+        if w > 0
     )
+    if weight_scale and cost_scale:
+        value = Fraction(sum(cells[i][j] * w for i, j, w in basis), weight_scale * cost_scale)
+    else:
+        value = sum((rows[i][j] * w for i, j, w in support), 0.0)
     return value, TransportPlan(len(a), len(b), support)
 
 
+def _integers(values):
+    """``(ints, scale)`` with ``ints[k] == values[k] * scale``, ``scale`` the
+    lcm of the denominators, when every value is rational; otherwise
+    ``(values, None)``."""
+    if not all(issubclass(t, Rational) for t in set(map(type, values))):
+        return values, None
+    scale = math.lcm(*{x.denominator for x in values})
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
 def _simplex(a, b, cost, tol):
-    """Transportation simplex with Bland's rule; returns the basic masses,
-    whose keys are the basis: a spanning tree on rows (nodes 0..m-1) and
-    columns (nodes m..m+n-1).  Each pivot walks it once (``_basis_tree``);
-    the entering cell is the first negative reduced cost in row-major
-    order, its cycle runs up the parent links, and the smallest mass on
-    the cycle's odd positions leaves (ties: the smallest cell).
+    """Network simplex for the transportation problem; returns the basis as
+    (row, col, mass) triples.
+
+    Nodes are the rows 0..m-1 and the columns m..m+n-1.  The basis is a
+    spanning tree rooted at row 0, kept as parent links: each other node x
+    stores the basic cell that joins it to ``parent[x]``, that cell's mass
+    ``flow[x]``, its depth and its potential (u_i for a row, v_j for a
+    column, with u_0 = 0 and u_i + v_j = c_ij on every basic cell).
+
+    Pricing scans blocks of whole rows, about sqrt(mn) cells but at least
+    one row each, cyclically from where the last block ended; the most
+    negative reduced cost c_ij - u_i - v_j of the first block that has one
+    enters (ties: the first one scanned).  Its cycle runs up the parent
+    links to the common ancestor (the apex).  The leaving cell is
+    Cunningham's: of the cells that give up mass, the last one of least mass
+    met going from the apex down to the entering row, across the entering
+    cell and back up to the apex.  That keeps the tree strongly feasible,
+    meaning every basic cell of zero mass hangs its row below its column, so
+    every node can push mass up to the root.  A degenerate pivot then always
+    cuts off the subtree that holds the entering row, lowering each of its
+    u_i and raising each of its v_j, so sum(u) - sum(v) falls strictly: no
+    basis repeats and the method cannot cycle.  The north-west start is
+    strongly feasible because it advances the row when a row and a column
+    run out together, so its only zero cells hang a row below a column.
+
+    A pivot re-roots the cut-off subtree at the entering cell's end and
+    updates parent links, depths and potentials on that subtree only.
     """
     m, n = len(a), len(b)
-    masses: dict[tuple[int, int], Fraction] = {}
+    parent = [-1] * (m + n)
+    flow = [0] * (m + n)
+    depth = [0] * (m + n)
+    children = [[] for _ in range(m + n)]
+    u, v = [0] * m, [0] * n
 
-    # northwest corner start
-    i = j = 0
+    # north-west staircase from row 0: each cell links the node it reaches
     rem_a, rem_b = list(a), list(b)
-    while i < m and j < n:
+    i = j = 0
+    node, up = m, 0
+    while True:
         w = min(rem_a[i], rem_b[j])
-        masses[(i, j)] = w
         rem_a[i] -= w
         rem_b[j] -= w
+        parent[node], flow[node], depth[node] = up, w, depth[up] + 1
+        children[up].append(node)
+        if node < m:
+            u[i] = cost[i][j] - v[j]
+        else:
+            v[j] = cost[i][j] - u[i]
         if i == m - 1 and j == n - 1:
             break
         if rem_a[i] == 0 and i < m - 1:
             i += 1
-        else:
+            node, up = i, m + j
+        elif j < n - 1:
             j += 1
+            node, up = m + j, i
+        else:
+            raise SolverError("degenerate basis lost connectivity")
 
+    rows_per_block = max(1, round(math.sqrt(m / n)))
+    cursor = 0
     max_pivots = 1000 * (m + n + 10)
     for _ in range(max_pivots):
-        pot, parent, depth = _basis_tree(m, n, cost, masses)
-        entering = None
-        for i, j in itertools.product(range(m), range(n)):
-            if (i, j) not in masses and cost[i][j] - pot[i] - pot[m + j] < -tol:
-                entering = (i, j)
-                break
-        if entering is None:
-            return masses
-        # the tree path from row i to column j closes the cycle: walk both
-        # ends up the parent links to their common ancestor
-        ends = [entering[0], m + entering[1]]
-        paths = ([], [])
-        while ends[0] != ends[1]:
-            k = 0 if depth[ends[0]] >= depth[ends[1]] else 1
-            x, up = ends[k], parent[ends[k]]
-            paths[k].append((x, up - m) if x < m else (up, x - m))
-            ends[k] = up
-        cycle = [entering, *paths[0], *reversed(paths[1])]
-        # odd positions give up mass
-        theta = leaving = None
-        for pos in range(1, len(cycle), 2):
-            cell = cycle[pos]
-            w = masses[cell]
-            if theta is None or w < theta or (w == theta and cell < leaving):
-                theta, leaving = w, cell
-        for pos, cell in enumerate(cycle):
-            delta = theta if pos % 2 == 0 else -theta
-            masses[cell] = masses.get(cell, Fraction(0)) + delta
-        del masses[leaving]
+        row = None
+        priced = 0
+        while row is None:
+            if priced >= m:
+                return [
+                    (x, parent[x] - m, flow[x]) if x < m else (parent[x], x - m, flow[x])
+                    for x in range(1, m + n)
+                ]
+            best = -tol
+            for _ in range(rows_per_block):
+                r = min(map(sub, cost[cursor], v)) - u[cursor]
+                if r < best:
+                    best, row = r, cursor
+                cursor = cursor + 1 if cursor + 1 < m else 0
+            priced += rows_per_block
+            if row is not None:
+                reduced = list(map(sub, cost[row], v))
+                col = reduced.index(min(reduced))
+                if parent[row] == m + col or parent[m + col] == row:
+                    # a basic cell prices at exactly zero on integers; with
+                    # float costs it can price a rounding error below -tol
+                    row = None
+
+        # walk both ends up to the apex; on the row side a row gives up
+        # mass, on the column side a column does
+        x, y = row, m + col
+        row_side, col_side = [], []
+        while x != y:
+            if depth[x] > depth[y]:
+                row_side.append(x)
+                x = parent[x]
+            else:
+                col_side.append(y)
+                y = parent[y]
+        theta = leave = None
+        for x in reversed(row_side):
+            if x < m and (theta is None or flow[x] <= theta):
+                theta, leave = flow[x], x
+        for y in col_side:
+            if y >= m and (theta is None or flow[y] <= theta):
+                theta, leave = flow[y], y
+        if theta:
+            for x in row_side:
+                flow[x] += -theta if x < m else theta
+            for y in col_side:
+                flow[y] += -theta if y >= m else theta
+
+        # the cut-off subtree holds the entering end on the leaving side;
+        # reverse the links from that end up to the leaving node
+        if leave < m:
+            stem, top = row_side[:row_side.index(leave) + 1], m + col
+        else:
+            stem, top = col_side[:col_side.index(leave) + 1], row
+        mass = theta
+        for x in stem:
+            children[parent[x]].remove(x)
+            children[top].append(x)
+            parent[x], top = top, x
+            flow[x], mass = mass, flow[x]
+        stack = [stem[0]]
+        while stack:
+            x = stack.pop()
+            up = parent[x]
+            depth[x] = depth[up] + 1
+            if x < m:
+                u[x] = cost[x][up - m] - v[up - m]
+            else:
+                v[x - m] = cost[up][x - m] - u[up]
+            stack.extend(children[x])
     raise SolverError("transport solver failed to terminate")
-
-
-def _basis_tree(m, n, cost, cells):
-    """Walk the basis tree from row 0: potentials with u_0 = 0 and
-    u_i + v_j = c_ij on every basic cell (rows first, then columns), and
-    each node's parent and depth."""
-    adj = [[] for _ in range(m + n)]
-    for i, j in cells:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    pot = [None] * (m + n)
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
-    pot[0] = cost[0][0] * 0  # zero of the cost's arithmetic type
-    stack = [0]
-    reached = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if pot[y] is None:
-                pot[y] = (cost[x][y - m] if x < m else cost[y][x - m]) - pot[x]
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                reached += 1
-                stack.append(y)
-    if reached < m + n:
-        raise SolverError("degenerate basis lost connectivity")
-    return pot, parent, depth
 
 
 # -- nested distance -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact transport: flat solver, nested adapted distance, coupling oracle."""
 
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -83,6 +84,41 @@ def enumerate_vertex_optimum(mu, nu, cost):
     )
 
 
+def network_simplex_problems():
+    """Problems for the networkx cross-check: small random ones with few
+    distinct costs, uniform square (assignment-like) ones up to 24x24 where
+    degenerate pivots pile up, rectangular ones up to 12x30, and weights
+    1/q for primes q near 1000, whose lcm scale is large."""
+    rng = random.Random(43)
+
+    def normalized(weights):
+        total = sum(weights)
+        return [F(w) / total for w in weights]
+
+    def costs(m, n):
+        # few distinct costs, so ties and degenerate pivots occur
+        return [[F(rng.randint(0, 3)) for _ in range(n)] for _ in range(m)]
+
+    for trial in range(30):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        if trial % 3 == 0:
+            yield [F(1, m)] * m, [F(1, n)] * n, costs(m, n)
+        else:
+            mu = normalized([rng.randint(1, 5) for _ in range(m)])
+            nu = normalized([rng.randint(1, 5) for _ in range(n)])
+            yield mu, nu, costs(m, n)
+    for size in (12, 16, 20, 24, 24):
+        yield [F(1, size)] * size, [F(1, size)] * size, costs(size, size)
+    for m, n in ((12, 30), (30, 12), (7, 30), (12, 19)):
+        yield normalized([rng.randint(1, 3) for _ in range(m)]), [F(1, n)] * n, costs(m, n)
+    primes = [q for q in range(960, 1040) if all(q % d for d in range(2, 32))]
+    for m, n in ((3, 3), (4, 6), (6, 5)):
+        qs = rng.sample(primes, m + n - 2)
+        mu = [F(1, q) for q in qs[:m - 1]]
+        nu = [F(1, q) for q in qs[m - 1:]]
+        yield mu + [1 - sum(mu)], nu + [1 - sum(nu)], costs(m, n)
+
+
 class TestFlatSolver:
     def test_worked_example(self):
         value, plan = ot_solve(
@@ -143,22 +179,9 @@ class TestFlatSolver:
         # vertex enumeration cannot reach 8x8; networkx solves the same
         # problem exactly once weights are scaled to integers
         nx = pytest.importorskip("networkx")
-        rng = random.Random(43)
-        for trial in range(30):
-            m, n = rng.randint(1, 8), rng.randint(1, 8)
-            if trial % 3 == 0:
-                mu = [F(1, m)] * m
-                nu = [F(1, n)] * n
-            else:
-                mu = [F(rng.randint(1, 5)) for _ in range(m)]
-                nu = [F(rng.randint(1, 5)) for _ in range(n)]
-                s, t = sum(mu), sum(nu)
-                mu = [w / s for w in mu]
-                nu = [w / t for w in nu]
-            # few distinct costs, so ties and degenerate pivots occur
-            cost = [[F(rng.randint(0, 3)) for _ in range(n)] for _ in range(m)]
+        for mu, nu, cost in network_simplex_problems():
             value, plan = ot_solve(mu, nu, cost)
-
+            m, n = len(mu), len(nu)
             scale = math.lcm(*(w.denominator for w in mu + nu))
             graph = nx.DiGraph()
             for i, w in enumerate(mu):
@@ -173,6 +196,78 @@ class TestFlatSolver:
             assert plan.matches_marginals(mu, nu)
             assert len(plan.support) <= m + n - 1
 
+    @pytest.mark.parametrize("scale", [1, 10**8])
+    def test_float_costs_match_exact_solve_under_degeneracy(self, scale):
+        # uniform 12x12 marginals: every north-west cell after the first row
+        # starts at a tie; costs k/3 are not binary fractions.  At 10^8 the
+        # float potentials price some basic cells a rounding error below
+        # the tolerance.
+        rng = random.Random(47)
+        mu = nu = [F(1, 12)] * 12
+        cost = [[F(rng.randint(0, 9), 3) * scale for _ in range(12)] for _ in range(12)]
+        exact, _ = ot_solve(mu, nu, cost)
+        approx, plan = ot_solve(mu, nu, [[float(c) for c in row] for row in cost])
+        assert isinstance(approx, float)
+        assert abs(approx - float(exact)) < 1e-9 * scale
+        assert plan.matches_marginals(mu, nu)
+
+    def test_basis_stays_strongly_feasible(self):
+        # the anti-cycling invariant, checked on the final basis: rooted at
+        # row 0, every basic cell of zero mass hangs its row below its column
+        from adt.transport import _simplex
+
+        rng = random.Random(53)
+        for trial in range(60):
+            m = rng.randint(1, 10)
+            n = m if trial % 2 else rng.randint(1, 10)
+            # equal totals with many partial sums in common: many ties
+            a = [rng.choice([1, 2, 2, 4]) for _ in range(m)]
+            b = [rng.choice([1, 2, 2, 4]) for _ in range(n)]
+            a, b = [w * sum(b) for w in a], [w * sum(a) for w in b]
+            cost = [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)]
+            basis = _simplex(a, b, cost, 0)
+            assert len(basis) == m + n - 1
+            links = {}
+            for i, j, _ in basis:
+                links.setdefault(("r", i), []).append(("c", j))
+                links.setdefault(("c", j), []).append(("r", i))
+            depth, frontier = {("r", 0): 0}, [("r", 0)]
+            while frontier:
+                node = frontier.pop()
+                for other in links.get(node, ()):
+                    if other not in depth:
+                        depth[other] = depth[node] + 1
+                        frontier.append(other)
+            assert len(depth) == m + n
+            for i, j, w in basis:
+                assert w >= 0
+                if w == 0:
+                    assert depth[("r", i)] > depth[("c", j)]
+
+    def test_plans_do_not_depend_on_earlier_solves(self, tmp_path):
+        # the pricing cursor lives inside one solve
+        rng = random.Random(59)
+        mu = nu = [F(1, 9)] * 9
+        cost = [[rng.randint(0, 3) for _ in range(9)] for _ in range(9)]
+        first = ot_solve(mu, nu, cost)
+        ot_solve([F(1, 2)] * 2, [F(1, 3)] * 3, [[1, 0, 2], [0, 2, 1]])
+        assert ot_solve(mu, nu, cost) == first
+
+        from adt.cli import main
+
+        # symmetric walks: many tied stage plans
+        pair = (helpers.random_walk_tree(3), helpers.random_walk_tree(3, step=F(1, 2)))
+        paths = []
+        for name, tree in zip("xy", pair):
+            paths.append(str(tmp_path / f"{name}.json"))
+            (tmp_path / f"{name}.json").write_text(json.dumps(tree.to_document()), encoding="utf-8")
+        emitted = []
+        for run in range(2):
+            out = tmp_path / f"run{run}"
+            assert main(["distance", *paths, "--emit-plan", "--out", str(out)]) == 0
+            emitted.append((out / "plan.json").read_bytes())
+        assert emitted[0] == emitted[1]
+
     @pytest.mark.parametrize(
         "mu, nu, cost, value, support",
         [
@@ -185,7 +280,7 @@ class TestFlatSolver:
                 {(0, 0): F(1, 4), (0, 1): F(1, 12), (1, 1): F(1, 6),
                  (1, 2): F(1, 6), (2, 2): F(1, 12), (2, 3): F(1, 4)},
             ),
-            # two cost levels: any plan on the even cells is optimal (2 pivots)
+            # two cost levels: any plan on the even cells is optimal (1 pivot)
             (
                 [F(1, 4)] * 4,
                 [F(1, 4)] * 4,
@@ -210,13 +305,24 @@ class TestFlatSolver:
                 {(0, 2): F(1, 12), (0, 3): F(1, 4), (1, 1): F(1, 6),
                  (1, 2): F(1, 6), (2, 0): F(1, 4), (2, 1): F(1, 12)},
             ),
+            # Bland's rule returned {(0, 2): 1/4, (1, 1): 1/8, (1, 2): 1/8,
+            # (2, 0): 1/4, (3, 0): 1/8, (3, 1): 1/8}, as cheap as this one
+            (
+                [F(1, 4)] * 4,
+                [F(3, 8), F(1, 4), F(3, 8)],
+                [[2, 2, 2], [2, 2, 2], [0, 1, 2], [0, 0, 1]],
+                1,
+                {(0, 2): F(1, 4), (1, 0): F(1, 8), (1, 2): F(1, 8),
+                 (2, 0): F(1, 4), (3, 1): F(1, 4)},
+            ),
         ],
-        ids=["all_equal", "two_levels_4x4", "two_levels_3x3", "anti_diagonal"],
+        ids=["all_equal", "two_levels_4x4", "two_levels_3x3", "anti_diagonal", "block_pricing"],
     )
     def test_pins_plan_under_ties(self, mu, nu, cost, value, support):
-        # Bland's rule fixes which of several optimal plans is returned
+        # the start, the pricing blocks and the leaving rule fix which of
+        # several optimal plans is returned
         got, plan = ot_solve(mu, nu, cost)
-        assert got == value
+        assert got == value == enumerate_vertex_optimum(mu, nu, cost)
         assert plan.as_dict() == support
 
     def test_integer_costs_are_exact(self):
