@@ -14,13 +14,12 @@ import itertools
 import json
 import threading
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import ConfigMismatchError, NotMarkovError, TreeValidationError
 from .process_model import (
-    DiscreteMeasure,
     FilteredTree,
     MetricConfig,
     TreeNode,
@@ -56,27 +55,19 @@ class NestedAtom:
     distribution as a tuple of (atom, weight) pairs in canonical order,
     empty exactly for terminal atoms.  Identity equals structural equality
     thanks to interning, so atoms may be compared and hashed at pointer
-    speed.  The ``sort_key`` induces a total order used everywhere a
-    deterministic arrangement of atoms is needed.
+    speed.
     """
 
-    __slots__ = ("value", "law", "uid", "_key", "__weakref__")
+    __slots__ = ("value", "law", "uid", "__weakref__")
 
     def __init__(self, value: tuple[Fraction, ...], law: tuple[tuple["NestedAtom", Fraction], ...], uid: int):
         self.value = value
         self.law = law
         self.uid = uid
-        self._key = None
 
     @property
     def is_terminal(self) -> bool:
         return not self.law
-
-    @property
-    def sort_key(self):
-        if self._key is None:
-            self._key = (self.value, tuple((child.sort_key, w) for child, w in self.law))
-        return self._key
 
     def __repr__(self):
         head = ",".join(str(v) for v in self.value)
@@ -94,12 +85,33 @@ _INTERN_LOCK = threading.Lock()
 _UID_COUNTER = [0]
 
 
-def _intern(value: tuple[Fraction, ...], law_pairs: Iterable[tuple[NestedAtom, Fraction]]) -> NestedAtom:
-    """Return the unique atom with the given value and successor law."""
+def _rank(atoms: Iterable[NestedAtom], below: Mapping[NestedAtom, int]) -> dict[NestedAtom, int]:
+    """Canonical rank of each distinct atom among same-level ``atoms``,
+    keyed in rank order; ``below`` ranks the next level.
+
+    Atoms compare by value, then by successor law as a sequence of (rank of
+    successor, weight) pairs.  By induction from the terminal level this is
+    the order of whole nested structures, value first and then successor
+    law, so the order of two atoms does not depend on which others are
+    ranked with them, and no comparison looks more than one level down.
+    """
+    ordered = sorted(set(atoms), key=lambda a: (a.value, tuple((below[c], w) for c, w in a.law)))
+    return {atom: k for k, atom in enumerate(ordered)}
+
+
+def _law(pairs: Iterable[tuple[NestedAtom, Fraction]], ranks: Mapping[NestedAtom, int]):
+    """Merge (atom, weight) pairs into a law listed in the canonical order
+    ``ranks`` of their level."""
     merged: dict[NestedAtom, Fraction] = {}
-    for child, weight in law_pairs:
-        merged[child] = merged.get(child, Fraction(0)) + weight
-    law = tuple(sorted(merged.items(), key=lambda item: item[0].sort_key))
+    for atom, weight in pairs:
+        merged[atom] = merged.get(atom, Fraction(0)) + weight
+    return tuple(sorted(merged.items(), key=lambda item: ranks[item[0]]))
+
+
+def _intern(value: tuple[Fraction, ...], law_pairs: Iterable, ranks: Mapping[NestedAtom, int]) -> NestedAtom:
+    """Return the unique atom with the given value and successor law;
+    ``ranks`` ranks the successors' level."""
+    law = _law(law_pairs, ranks)
     key = (value, tuple((child.uid, w) for child, w in law))
     with _INTERN_LOCK:
         atom = _INTERN.get(key)
@@ -112,26 +124,19 @@ def _intern(value: tuple[Fraction, ...], law_pairs: Iterable[tuple[NestedAtom, F
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Law of the time-1 nested structure: the canonical form of a process."""
+    """Law of the time-1 nested structure: the canonical form of a process.
+
+    ``ranks[t-1]`` is the canonical rank of every reachable time-t atom,
+    keyed in rank order; it is fixed when the form is built.
+    """
 
     config: MetricConfig
     law: tuple[tuple[NestedAtom, Fraction], ...]
-
-    def measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure(
-            atoms=tuple(a for a, _ in self.law),
-            weights=tuple(w for _, w in self.law),
-        )
+    ranks: tuple[dict[NestedAtom, int], ...] = field(compare=False, repr=False)
 
     def levels(self) -> list[tuple[NestedAtom, ...]]:
-        """Reachable atoms per time step (index 0 = time 1), canonically sorted."""
-        out: list[tuple[NestedAtom, ...]] = []
-        current = sorted({a for a, _ in self.law}, key=lambda a: a.sort_key)
-        while current:
-            out.append(tuple(current))
-            nxt = {child for atom in current for child, _ in atom.law}
-            current = sorted(nxt, key=lambda a: a.sort_key)
-        return out
+        """Reachable atoms per time step (index 0 = time 1), in canonical order."""
+        return [tuple(level) for level in self.ranks]
 
     def same_structure(self, other: "CanonicalForm") -> bool:
         return self.law == other.law
@@ -175,30 +180,41 @@ def information_process(tree: FilteredTree) -> InformationResult:
     value paired with the weighted law of its children's atoms.  Interning
     merges nodes that generate identical conditional future structure.
     """
-    cfg = tree.config
-    node_atom: dict[str, NestedAtom] = {}
-    for t in range(cfg.num_steps, 0, -1):
-        for node_id in tree.level(t):
-            node = tree.node(node_id)
-            if node.is_leaf:
-                atom = _intern(node.value, ())
-            else:
-                atom = _intern(
-                    node.value,
-                    ((node_atom[cid], p) for cid, p in node.children),
-                )
-            node_atom[node_id] = atom
-    merged: dict[NestedAtom, Fraction] = {}
-    for cid, p in tree.root_children:
-        atom = node_atom[cid]
-        merged[atom] = merged.get(atom, Fraction(0)) + p
-    law = tuple(sorted(merged.items(), key=lambda item: item[0].sort_key))
-    return InformationResult(form=CanonicalForm(config=cfg, law=law), node_atom=node_atom)
+    node_atom, ranks = _intern_levels(
+        [tree.level(t) for t in range(1, tree.config.num_steps + 1)],
+        lambda node_id: tree.node(node_id).value,
+        lambda node_id: tree.node(node_id).children,
+    )
+    law = _law(((node_atom[cid], p) for cid, p in tree.root_children), ranks[0])
+    form = CanonicalForm(config=tree.config, law=law, ranks=ranks)
+    return InformationResult(form=form, node_atom=node_atom)
+
+
+def _intern_levels(levels, value_of: Callable, children_of: Callable):
+    """Intern items level by level from the last, ranking each level as
+    soon as it is interned.  ``levels[t-1]`` lists the time-t items and
+    ``children_of(item)`` gives (item, weight) pairs one level down.
+    Returns the atom of every item and the ranks per level."""
+    image: dict = {}
+    ranks: list[dict[NestedAtom, int]] = []
+    below: dict[NestedAtom, int] = {}
+    for level in reversed(levels):
+        for item in level:
+            image[item] = _intern(value_of(item), ((image[c], w) for c, w in children_of(item)), below)
+        below = _rank((image[item] for item in level), below)
+        ranks.append(below)
+    return image, tuple(reversed(ranks))
+
+
+def _mapped_atoms(form: CanonicalForm, value_map: Callable) -> dict[NestedAtom, NestedAtom]:
+    """Each reachable atom of ``form`` mapped to the atom with values passed
+    through ``value_map``, re-interned level by level from the last."""
+    return _intern_levels(form.ranks, lambda atom: value_map(atom.value), lambda atom: atom.law)[0]
 
 
 def atom_level_ranks(form: CanonicalForm) -> list[dict[NestedAtom, int]]:
     """Rank of every reachable atom within its level, in canonical order."""
-    return [{atom: i for i, atom in enumerate(level)} for level in form.levels()]
+    return list(form.ranks)
 
 
 def canonical_tree(form: CanonicalForm) -> FilteredTree:
@@ -209,12 +225,11 @@ def canonical_tree(form: CanonicalForm) -> FilteredTree:
     the result never has more nodes than any tree producing ``form``.
     Node info labels expose the per-level canonical rank of the atom.
     """
-    ranks = atom_level_ranks(form)
     return _unfold(
         form.config,
         form.law,
         lambda atom: atom.law,
-        lambda atom, time, k: (f"c{time}.{k}", atom.value, f"a{ranks[time - 1][atom]}"),
+        lambda atom, time, k: (f"c{time}.{k}", atom.value, f"a{form.ranks[time - 1][atom]}"),
     )
 
 
@@ -309,21 +324,6 @@ def self_contained_check(tree: FilteredTree, labels: Mapping[str, object]) -> tu
 # -- lifts -------------------------------------------------------------------
 
 
-def _rank_decorated(tree: FilteredTree, decorate) -> FilteredTree:
-    """Rebuild the tree with node values mapped through ``decorate(node, ranks)``."""
-    res = information_process(tree)
-    ranks = atom_level_ranks(res.form)
-    nodes = {}
-    dim = None
-    for node in tree.nodes():
-        rank = ranks[node.time - 1][res.node_atom[node.node_id]]
-        value = decorate(tree, node, rank)
-        if dim is None:
-            dim = len(value)
-        nodes[node.node_id] = replace(node, value=value)
-    return FilteredTree(replace(tree.config, dim=dim), nodes, tree.root_children)
-
-
 def self_aware_lift(tree: FilteredTree) -> FilteredTree:
     """Append the canonical rank of each node's nested atom to its value.
 
@@ -332,10 +332,13 @@ def self_aware_lift(tree: FilteredTree) -> FilteredTree:
     decoration: any other value decoration with that property factors onto
     it through an adapted map.
     """
-    def decorate(t: FilteredTree, node: TreeNode, rank: int):
-        return node.value + (Fraction(rank),)
-
-    return _rank_decorated(tree, decorate)
+    res = information_process(tree)
+    ranks = res.form.ranks
+    nodes = {}
+    for node in tree.nodes():
+        rank = ranks[node.time - 1][res.node_atom[node.node_id]]
+        nodes[node.node_id] = replace(node, value=node.value + (Fraction(rank),))
+    return FilteredTree(replace(tree.config, dim=tree.config.dim + 1), nodes, tree.root_children)
 
 
 def markov_lift(tree: FilteredTree) -> FilteredTree:
@@ -347,7 +350,7 @@ def markov_lift(tree: FilteredTree) -> FilteredTree:
     the lifted process is Markov in its value.
     """
     res = information_process(tree)
-    ranks = atom_level_ranks(res.form)
+    ranks = res.form.ranks
     cfg = tree.config
     n, d = cfg.num_steps, cfg.dim
     rank_path: dict[str, tuple[int, ...]] = {}

@@ -17,11 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .canonical import (
-    NestedAtom,
-    atom_level_ranks,
-    information_process,
-)
+from .canonical import NestedAtom, _mapped_atoms, information_process
 from .errors import (
     ConfigMismatchError,
     DocumentError,
@@ -34,7 +30,6 @@ from .process_model import (
     FilteredTree,
     MetricConfig,
     TreeNode,
-    _postorder,
     _unfold,
     load_tree,
     parse_probability,
@@ -568,7 +563,7 @@ def augmented_self_aware_lift(ext: RandomizedExtension) -> FilteredTree:
     """Self-aware decoration of the base, carried onto the extension and
     augmented with the grid digit: value = (base value, atom rank, digit)."""
     res = information_process(ext.base)
-    ranks = atom_level_ranks(res.form)
+    ranks = res.form.ranks
     etree = ext.tree
     cfg = etree.config
     nodes = {}
@@ -610,15 +605,9 @@ def transfer(product: ProductTree, target: RandomizedExtension) -> TransferResul
             "transfer: product tree shape does not match the target base"
         )
 
-    from .canonical import _intern  # shared intern table
-
     res_p = information_process(prod_tree)
     res_base = information_process(base)
-
-    # first-coordinate atom of every pair atom, children before parents
-    first_atom: dict[NestedAtom, NestedAtom] = {}
-    for gamma, law in _postorder(res_p.form.law, lambda g: g.law):
-        first_atom[gamma] = _intern(gamma.value[:d], ((first_atom[c], w) for c, w in law))
+    first_atom = _mapped_atoms(res_p.form, lambda value: value[:d])
 
     def pushed(law) -> dict[NestedAtom, dict[NestedAtom, Fraction]]:
         grouped: dict[NestedAtom, dict[NestedAtom, Fraction]] = {}
@@ -642,13 +631,12 @@ def transfer(product: ProductTree, target: RandomizedExtension) -> TransferResul
     m = target.m
 
     def conditional_blocks(grouped):
-        """Per projected atom: candidates in canonical order with their
-        conditional probabilities."""
+        """Per projected atom: candidates in canonical order (the order of
+        the law they were pushed from) with their conditional probabilities."""
         out = {}
         for alpha, bucket in grouped.items():
             alpha_mass = sum(bucket.values(), Fraction(0))
-            ordered = sorted(bucket.items(), key=lambda item: item[0].sort_key)
-            out[alpha] = [(gamma, w / alpha_mass) for gamma, w in ordered]
+            out[alpha] = [(gamma, w / alpha_mass) for gamma, w in bucket.items()]
         return out
 
     # every conditional law the walk could need, keyed by the parent pair atom

@@ -263,14 +263,14 @@ class DiscreteMeasure:
             raise TreeValidationError(f"measure weights sum to {total}, expected 1")
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[object, Fraction]], key=None) -> "DiscreteMeasure":
+    def from_pairs(cls, pairs: Iterable[tuple[object, Fraction]]) -> "DiscreteMeasure":
         """Aggregate (atom, weight) pairs, merging duplicates and dropping zeros.
-        Atoms are sorted by ``key`` (default: natural order) for a canonical layout."""
+        Atoms are sorted in their natural order for a canonical layout."""
         merged: dict = {}
         for atom, weight in pairs:
             merged[atom] = merged.get(atom, Fraction(0)) + weight
         items = [(a, w) for a, w in merged.items() if w != 0]
-        items.sort(key=(lambda item: key(item[0])) if key else (lambda item: item[0]))
+        items.sort(key=lambda item: item[0])
         return cls(atoms=tuple(a for a, _ in items), weights=tuple(w for _, w in items))
 
     def as_dict(self) -> dict:
@@ -443,13 +443,7 @@ class FilteredTree:
 
     def value_path(self, node_id: str) -> tuple[tuple[Fraction, ...], ...]:
         """Values along the ancestor chain from time 1 through the node."""
-        chain = []
-        cursor: str | None = node_id
-        while cursor is not None:
-            chain.append(self._nodes[cursor].value)
-            cursor = self.parent(cursor)
-        chain.reverse()
-        return tuple(chain)
+        return tuple(self._nodes[n].value for n in self.node_path(node_id))
 
     def node_path(self, node_id: str) -> tuple[str, ...]:
         chain = []

@@ -442,23 +442,23 @@ def random_bicausal_cost(table: NestedDistanceTable, seed: int, samples: int) ->
     remainder are random transport vertices.  Every value is an upper bound
     for ``aw_distance``.  Nothing is canonicalized or solved again.
 
-    For integer p and in weak mode the costs are exact ``Fraction``s.  The
-    walk then runs on plain ints: probabilities are integers over D, the lcm
-    of all law denominators; plan weights are integers over S = D*D; stage
-    costs are integers over V = L^p, with L the lcm of the value
-    denominators (V = L in weak mode).  A level-t cost is an integer over
-    V * S^(N-t), and one ``Fraction`` is built per sample.  Weak-mode costs
-    are clipped at 1, as in ``aw_distance``, so the bound stays valid.
+    Stage costs are compiled by ``_integers``, as ``ot_solve`` compiles
+    its problems.  When they are rational (integer p and weak mode) the
+    walk runs on plain ints: probabilities are integers over D, the lcm of
+    all law denominators; plan weights are integers over S = D*D; stage
+    costs are integers over V, the lcm of their denominators.  A level-t
+    cost is an integer over V * S^(N-t), and one ``Fraction`` is built per
+    sample.  Weak-mode costs are clipped at 1, as in ``aw_distance``, so
+    the bound stays valid.
 
-    For non-integer p the costs are floats and only approximate: stage
-    costs are floats and each integer plan weight w enters as w / S, with no
-    S^N scaling, which would overflow a float.
+    Otherwise (non-integer p) the costs are floats and only approximate:
+    stage costs are floats and each integer plan weight w enters as w / S,
+    with no S^N scaling, which would overflow a float.
     """
     if samples < 1:
         raise SolverError("samples must be >= 1")
     cfg = table.config
     n = cfg.num_steps
-    exact = cfg.exact_costs
 
     # the canonical laws are the successor laws of two value-less time-0
     # roots; they are local to this walk and never interned
@@ -474,16 +474,13 @@ def random_bicausal_cost(table: NestedDistanceTable, seed: int, samples: int) ->
         for level in levels[:-1]
         for pair, entry in level.items()
     }
-    if exact:
-        scale_l = math.lcm(*(c.denominator for x in atoms for c in x.value))
-        scale_v = scale_l ** (1 if cfg.is_weak else cfg.order.numerator)
-    stage = {}
-    for t, level in enumerate(levels):
-        for x, y in level:
-            cost = cfg.step_cost(x.value, y.value)
-            stage[(x, y)] = (
-                int(cost * scale_v) * scale_s ** (n - t) if exact else float(cost)
-            )
+    pairs = [(t, pair) for t, level in enumerate(levels) for pair in level]
+    compiled, scale_v = _integers([cfg.step_cost(x.value, y.value) for _, (x, y) in pairs])
+    exact = scale_v is not None
+    stage = {
+        pair: cost * scale_s ** (n - t) if exact else float(cost)
+        for (t, pair), cost in zip(pairs, compiled)
+    }
 
     rng = random.Random(seed)
     results = []

@@ -174,6 +174,69 @@ def random_tree(
     return FilteredTree(cfg(n=n, d=d, p=p), nodes, tuple(roots))
 
 
+def with_copied_subtrees(rng: random.Random, tree: FilteredTree) -> FilteredTree:
+    """``tree`` with some child subtrees repeated under fresh info labels.
+
+    Each copy takes half of the original's probability.  Half of the copies
+    shift their last leaf value by 1/2, so the two siblings agree on
+    everything but that value; the others are exact repeats.
+    """
+    nodes = {node.node_id: node for node in tree.nodes()}
+    counter = [0]
+
+    def copy(node_id: str, label: str, shift: bool) -> str:
+        # the last child is copied first so that, when shifting, the last
+        # leaf in pre-order is the first one reached
+        node = nodes[node_id]
+        counter[0] += 1
+        new_id = f"{node_id}.c{counter[0]}"
+        kids = []
+        for cid, p in reversed(node.children):
+            kids.append((copy(cid, "", shift and not kids), p))
+        value, info = node.value, label or node.info
+        if shift and not node.children:
+            # a fresh label keeps the shifted leaf apart from its siblings
+            value, info = tuple(v + F(1, 2) for v in value), f"shift{counter[0]}"
+        nodes[new_id] = TreeNode(new_id, node.time, value, info, tuple(reversed(kids)))
+        return new_id
+
+    def split(children):
+        out = []
+        for cid, p in children:
+            if rng.random() < 0.4:
+                counter[0] += 1
+                label = f"copy{counter[0]}"
+                out += [(cid, p / 2), (copy(cid, label, rng.random() < 0.5), p / 2)]
+            else:
+                out.append((cid, p))
+        return tuple(out)
+
+    for node in list(tree.nodes()):
+        if node.children:
+            nodes[node.node_id] = TreeNode(
+                node.node_id, node.time, node.value, node.info, split(node.children)
+            )
+    return FilteredTree(tree.config, nodes, split(tree.root_children))
+
+
+def nested_order(a, b) -> int:
+    """Reference order on two same-level nested atoms, as -1, 0 or 1.
+
+    The value decides first; then the successor laws, compared pair by pair
+    as (successor under this same order, weight), a shorter law first when
+    one is a prefix of the other.  Plain recursion, for small trees only.
+    """
+    if a.value != b.value:
+        return -1 if a.value < b.value else 1
+    for (x, v), (y, w) in zip(a.law, b.law):
+        order = nested_order(x, y)
+        if order:
+            return order
+        if v != w:
+            return -1 if v < w else 1
+    return (len(a.law) > len(b.law)) - (len(a.law) < len(b.law))
+
+
 def random_pair(rng: random.Random, p=1, d: int = 1, n: int | None = None):
     """Two independent random trees sharing one metric configuration."""
     if n is None:

@@ -1,5 +1,6 @@
 """Canonicalization: information process, equivalence, digests, and lifts."""
 
+import functools
 import json
 import random
 from fractions import Fraction as F
@@ -73,6 +74,27 @@ class TestInformationProcess:
         form = information_process(helpers.random_walk_tree(3)).form
         for level, ranks in zip(form.levels(), atom_level_ranks(form)):
             assert sorted(ranks.values()) == list(range(len(level)))
+
+    def test_order_matches_nested_reference(self):
+        # the canonical order, checked against a comparator that walks
+        # whole nested structures; half the trees repeat subtrees under
+        # distinct labels, exactly or up to one leaf value
+        rng = random.Random(19)
+        order = functools.cmp_to_key(helpers.nested_order)
+        for k in range(50):
+            tree = helpers.random_tree(rng, n=rng.choice((2, 3, 4)))
+            if k % 2:
+                tree = helpers.with_copied_subtrees(rng, tree)
+            form = information_process(tree).form
+            levels = form.levels()
+            assert [a for a, _ in form.law] == sorted((a for a, _ in form.law), key=order)
+            for level in levels:
+                assert list(level) == sorted(level, key=order)
+                assert all(order(a) < order(b) for a, b in zip(level, level[1:]))
+                for atom in level:
+                    law = [x for x, _ in atom.law]
+                    assert law == sorted(law, key=order)
+                    assert len(set(law)) == len(law)
 
     def test_subtree_atoms_shared_with_parent_process(self):
         # the conditional future below a node is itself a filtered process;

@@ -42,9 +42,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "adt"
 ALLOWED_SELF_CALLS = {
     # walks the payoff expression, so its depth is that of the expression
     "applications._evaluate",
-    # reads each child's cached key, and _intern keys every child before its
-    # parent, so one evaluation descends a single level
-    "canonical.NestedAtom.sort_key",
 }
 
 
@@ -212,6 +209,53 @@ def test_cli_runs_deep_chains(tmp_path):
     assert doc["oracle"]["agrees"] is True
     quantile = json.loads((out / "quantile.json").read_text(encoding="utf-8"))
     assert len(quantile["boxes"]) == 1 and len(quantile["boxes"][0]["path"]) == 5000
+
+
+def _sibling_chains_document(left, right) -> dict:
+    """Two chains under one root, told apart at time 1 by their info label."""
+    n = len(left)
+    nodes = []
+    for side, values in (("a", left), ("b", right)):
+        for t, v in enumerate(values, start=1):
+            nodes.append({
+                "id": f"{side}{t}",
+                "time": t,
+                "value": [str(v)],
+                "info": side if t == 1 else "",
+                "children": [{"id": f"{side}{t + 1}", "prob": "1"}] if t < n else [],
+            })
+    return {
+        "config": {"N": n, "d": 1, "p": "1"},
+        "root_children": [{"id": "a1", "prob": "1/2"}, {"id": "b1", "prob": "1/2"}],
+        "nodes": nodes,
+    }
+
+
+def test_cli_orders_deep_siblings(tmp_path):
+    # the siblings agree on 999 values, so ordering them must not compare
+    # whole subtrees
+    n = 1000
+    rng = random.Random(5)
+    left = [F(rng.randint(-4, 4), 2) for _ in range(n)]
+    right = left[:-1] + [left[-1] + 1]
+    doc = _sibling_chains_document(left, right)
+    path = tmp_path / "siblings.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    # the same process with its root children swapped and every id renamed
+    doc["root_children"].reverse()
+    text = json.dumps(doc).replace('"a', '"x').replace('"b', '"y')
+    twin = tmp_path / "twin.json"
+    twin.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    for argv in (
+        ["validate", str(path)],
+        ["canonicalize", str(path)],
+        ["equivalent", str(path), str(twin)],
+        ["distance", str(path), str(twin)],
+    ):
+        assert main([*argv, "--out", str(out)]) == 0, argv[0]
+    assert json.loads((out / "equivalent.json").read_text(encoding="utf-8"))["equivalent"] is True
+    assert json.loads((out / "distance.json").read_text(encoding="utf-8"))["adapted"]["power"]["exact"] == "0"
 
 
 def test_library_walks_past_the_recursion_limit():
