@@ -1,6 +1,5 @@
 """Canonicalization: information process, equivalence, digests, and lifts."""
 
-import functools
 import json
 import random
 from fractions import Fraction as F
@@ -79,22 +78,19 @@ class TestInformationProcess:
         # the canonical order, checked against a comparator that walks
         # whole nested structures; half the trees repeat subtrees under
         # distinct labels, exactly or up to one leaf value
+        def ascending(atoms):
+            return all(helpers.nested_order(a, b) < 0 for a, b in zip(atoms, atoms[1:]))
+
         rng = random.Random(19)
-        order = functools.cmp_to_key(helpers.nested_order)
         for k in range(50):
             tree = helpers.random_tree(rng, n=rng.choice((2, 3, 4)))
             if k % 2:
                 tree = helpers.with_copied_subtrees(rng, tree)
             form = information_process(tree).form
-            levels = form.levels()
-            assert [a for a, _ in form.law] == sorted((a for a, _ in form.law), key=order)
-            for level in levels:
-                assert list(level) == sorted(level, key=order)
-                assert all(order(a) < order(b) for a, b in zip(level, level[1:]))
-                for atom in level:
-                    law = [x for x, _ in atom.law]
-                    assert law == sorted(law, key=order)
-                    assert len(set(law)) == len(law)
+            assert ascending([a for a, _ in form.law])
+            for level in form.levels():
+                assert ascending(level)
+                assert all(ascending([x for x, _ in atom.law]) for atom in level)
 
     def test_subtree_atoms_shared_with_parent_process(self):
         # the conditional future below a node is itself a filtered process;
