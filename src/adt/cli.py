@@ -36,6 +36,7 @@ from .canonical import (
 from .couplings import (
     assemble_optimal_coupling,
     check_bicausal,
+    check_transfer_grid,
     extend_with_randomization,
     geodesic,
     load_coupling,
@@ -355,6 +356,8 @@ def _cmd_coupling(args) -> int:
 
     if args.transfer_m is not None:
         product = product_process(coupling)
+        # reject a too-coarse grid before building the m**N-sized extension
+        check_transfer_grid(product, args.transfer_m)
         ext = extend_with_randomization(a, args.transfer_m)
         result = transfer(product, ext)
         print(

@@ -56,6 +56,7 @@ __all__ = [
     "augmented_self_aware_lift",
     "TransferResult",
     "transfer",
+    "check_transfer_grid",
     "load_coupling",
 ]
 
@@ -465,8 +466,7 @@ def extend_with_randomization(tree: FilteredTree, m: int) -> RandomizedExtension
     Values and their filtration embed unchanged; each original transition
     splits into ``m`` equally likely copies whose digit is recorded in the
     info label (the grid lives in the filtration, not in the value)."""
-    if m < 2:
-        raise SolverError(f"grid size must be at least 2, got {m}")
+    _require_grid(m, 1)
     cfg = tree.config
     inv_m = Fraction(1, m)
     node_map: dict[str, tuple[str, tuple[int, ...]]] = {}
@@ -605,19 +605,8 @@ def transfer(product: ProductTree, target: RandomizedExtension) -> TransferResul
             "transfer: product tree shape does not match the target base"
         )
 
-    res_p = information_process(prod_tree)
+    top_grouped, block_table, required = _conditional_blocks(prod_tree, d)
     res_base = information_process(base)
-    first_atom = _mapped_atoms(res_p.form, lambda value: value[:d])
-
-    def pushed(law) -> dict[NestedAtom, dict[NestedAtom, Fraction]]:
-        grouped: dict[NestedAtom, dict[NestedAtom, Fraction]] = {}
-        for gamma, w in law:
-            alpha = first_atom[gamma]
-            bucket = grouped.setdefault(alpha, {})
-            bucket[gamma] = bucket.get(gamma, Fraction(0)) + w
-        return grouped
-
-    top_grouped = pushed(res_p.form.law)
     top_marginal = {
         alpha: sum(bucket.values(), Fraction(0)) for alpha, bucket in top_grouped.items()
     }
@@ -629,33 +618,7 @@ def transfer(product: ProductTree, target: RandomizedExtension) -> TransferResul
         )
 
     m = target.m
-
-    def conditional_blocks(grouped):
-        """Per projected atom: candidates in canonical order (the order of
-        the law they were pushed from) with their conditional probabilities."""
-        out = {}
-        for alpha, bucket in grouped.items():
-            alpha_mass = sum(bucket.values(), Fraction(0))
-            out[alpha] = [(gamma, w / alpha_mass) for gamma, w in bucket.items()]
-        return out
-
-    # every conditional law the walk could need, keyed by the parent pair atom
-    block_table: dict[NestedAtom | None, dict] = {None: conditional_blocks(top_grouped)}
-    for level in res_p.form.levels():
-        for gamma in level:
-            if not gamma.is_terminal:
-                block_table[gamma] = conditional_blocks(pushed(gamma.law))
-
-    required = 1
-    for table in block_table.values():
-        for block_list in table.values():
-            for _, q in block_list:
-                required = math.lcm(required, q.denominator)
-    if m % required != 0:
-        raise GridResolutionError(
-            f"grid size {m} is too coarse: conditional laws need a multiple of {required}",
-            required=required,
-        )
+    _require_grid(m, required)
 
     def pick(block_list, digit: int) -> NestedAtom:
         cursor = 0
@@ -694,3 +657,60 @@ def transfer(product: ProductTree, target: RandomizedExtension) -> TransferResul
     pair_tree = FilteredTree(pair_cfg, pair_nodes, etree.root_children)
     y_tree = FilteredTree(y_cfg, y_nodes, etree.root_children)
     return TransferResult(pair_tree=pair_tree, y_tree=y_tree, required_m=required)
+
+
+def check_transfer_grid(product: ProductTree, m: int) -> None:
+    """Raise unless ``transfer`` can realize ``product`` on an ``m``-point
+    grid.  Reads only the product's conditional laws, so a caller can reject
+    ``m`` before building the extension, whose size grows like ``m**N``."""
+    _require_grid(m, _conditional_blocks(product.tree, product.base_dim)[2])
+
+
+def _conditional_blocks(prod_tree: FilteredTree, d: int):
+    """``(top_grouped, block_table, required)`` of a pair process whose
+    first ``d`` coordinates are the base: its top law grouped by projected
+    atom, every conditional law the transfer walk could need keyed by the
+    parent pair atom (None at the top), and the lcm of their denominators."""
+    res_p = information_process(prod_tree)
+    first_atom = _mapped_atoms(res_p.form, lambda value: value[:d])
+
+    def pushed(law) -> dict[NestedAtom, dict[NestedAtom, Fraction]]:
+        grouped: dict[NestedAtom, dict[NestedAtom, Fraction]] = {}
+        for gamma, w in law:
+            alpha = first_atom[gamma]
+            bucket = grouped.setdefault(alpha, {})
+            bucket[gamma] = bucket.get(gamma, Fraction(0)) + w
+        return grouped
+
+    def conditional_blocks(grouped):
+        """Per projected atom: candidates in canonical order (the order of
+        the law they were pushed from) with their conditional probabilities."""
+        out = {}
+        for alpha, bucket in grouped.items():
+            alpha_mass = sum(bucket.values(), Fraction(0))
+            out[alpha] = [(gamma, w / alpha_mass) for gamma, w in bucket.items()]
+        return out
+
+    top_grouped = pushed(res_p.form.law)
+    block_table: dict[NestedAtom | None, dict] = {None: conditional_blocks(top_grouped)}
+    for level in res_p.form.levels():
+        for gamma in level:
+            if not gamma.is_terminal:
+                block_table[gamma] = conditional_blocks(pushed(gamma.law))
+
+    required = 1
+    for table in block_table.values():
+        for block_list in table.values():
+            for _, q in block_list:
+                required = math.lcm(required, q.denominator)
+    return top_grouped, block_table, required
+
+
+def _require_grid(m: int, required: int) -> None:
+    if m < 2:
+        raise SolverError(f"grid size must be at least 2, got {m}")
+    if m % required != 0:
+        raise GridResolutionError(
+            f"grid size {m} is too coarse: conditional laws need a multiple of {required}",
+            required=required,
+        )

@@ -25,7 +25,6 @@ from .process_model import (
     _postorder,
     _unfold,
     law_on_paths,
-    path_cost,
     path_distance,
 )
 
@@ -507,15 +506,12 @@ def non_coexistence_fixture(n: int, k: int) -> FixtureResult:
     ot_value = None
     ot_plan_diagonal = None
     if k <= 80:
-        from .transport import ot_solve
+        from .transport import _plain_transport
 
         mu = law_on_paths(process)
         nu = law_on_paths(limit)
-        cost = [
-            [path_cost(x, y, process.config) for y in nu.atoms] for x in mu.atoms
-        ]
         # every plan pays the same total flip and only the diagonal moves nothing
-        ot_value, plan = ot_solve(mu.weights, nu.weights, cost)
+        ot_value, plan = _plain_transport(mu, nu, process.config)
         ot_plan_diagonal = all(
             mu.atoms[i][0] == nu.atoms[j][0] for i, j, _ in plan.support
         )

@@ -415,17 +415,46 @@ def wasserstein_paths(a: FilteredTree, b: FilteredTree):
 
     Always a lower bound for ``aw_distance``.  Weak mode applies the
     truncated path metric to each path pair before solving, so the weak
-    value is exact.
+    value is exact.  At integer orders and in weak mode the cost matrix is
+    built on integers (see ``_plain_transport``) and the value is divided
+    back once.
     """
     a.config.require_same_shape(b.config, "wasserstein_paths")
-    cfg = a.config
-    law_a = law_on_paths(a)
-    law_b = law_on_paths(b)
-    cost = [
-        [path_cost(x, y, cfg) for y in law_b.atoms] for x in law_a.atoms
-    ]
-    value, _ = ot_solve(law_a.weights, law_b.weights, cost)
+    value, _ = _plain_transport(law_on_paths(a), law_on_paths(b), a.config)
     return value
+
+
+def _plain_transport(law_a, law_b, cfg: MetricConfig):
+    """``(value, plan)`` of optimal transport between two path laws under
+    ``path_cost``.
+
+    With exact costs, every coordinate of both laws is compiled to integers
+    at once by ``_integers``, with scale L.  Each cell is then the int sum of
+    ``|s - t|**p`` over the flattened coordinates; weak mode takes p = 1 and
+    clips the cell at L.  That matrix is ``L**p`` times the ``path_cost``
+    matrix, so ``ot_solve`` makes the same pivots and returns the same plan,
+    and the value is divided by ``L**p`` once.  Non-integer orders build
+    the float ``path_cost`` matrix.
+    """
+    scale = None
+    if cfg.exact_costs:
+        paths = (*law_a.atoms, *law_b.atoms)
+        ints, scale = _integers([c for path in paths for point in path for c in point])
+    if scale is None:
+        cost = [[path_cost(x, y, cfg) for y in law_b.atoms] for x in law_a.atoms]
+        return ot_solve(law_a.weights, law_b.weights, cost)
+    width = cfg.num_steps * cfg.dim
+    rows = [ints[k:k + width] for k in range(0, len(ints), width)]
+    rows_a, rows_b = rows[:len(law_a.atoms)], rows[len(law_a.atoms):]
+    p = 1 if cfg.is_weak else cfg.order.numerator
+    if p == 1:
+        cost = [[sum(map(abs, map(sub, x, y))) for y in rows_b] for x in rows_a]
+    else:
+        cost = [[sum(abs(d) ** p for d in map(sub, x, y)) for y in rows_b] for x in rows_a]
+    if cfg.is_weak:
+        cost = [[min(c, scale) for c in row] for row in cost]
+    value, plan = ot_solve(law_a.weights, law_b.weights, cost)
+    return value / scale**p, plan
 
 
 # -- compositional coupling oracle ----------------------------------------------

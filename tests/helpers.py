@@ -8,10 +8,12 @@ an exact fraction.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from fractions import Fraction as F
 
-from adt import FilteredTree, MetricConfig, TreeNode
+from adt import FilteredTree, MetricConfig, TreeNode, non_coexistence_fixture
 
 
 def cfg(n=2, d=1, p=1, decimals=12) -> MetricConfig:
@@ -279,3 +281,14 @@ def regression_trees(p=1, rng_seed: int = 535353, extra_random: int = 10):
     for _ in range(extra_random):
         trees.append(random_tree(rng, p=p))
     return trees
+
+
+@functools.cache
+def aligned_fixture(n: int):
+    """``(k, non_coexistence_fixture(n, k))`` on a grid that keeps the segment
+    ends of index n on grid points: k = lcm(1..n), doubled up to the four
+    cells the fixture needs.  Built once per test run."""
+    k = math.lcm(*range(1, n + 1))
+    while k < 4:
+        k *= 2
+    return k, non_coexistence_fixture(n, k)

@@ -12,7 +12,6 @@ irrational, use a 1e-9 float tolerance.
 """
 
 import functools
-import math
 import random
 from fractions import Fraction as F
 
@@ -36,7 +35,6 @@ from adt import (
     information_process,
     is_self_aware,
     law_on_paths,
-    non_coexistence_fixture,
     optimal_stopping,
     pair_path_cost,
     product_process,
@@ -339,12 +337,8 @@ def test_criterion_11_transfer():
 @criterion(12, "circle-shift family: plain cost exactly 1/n, one-cell edits strictly costlier")
 def test_criterion_12_non_coexistence_fixture():
     for n in range(2, 11):
-        # any common multiple of 1..n keeps the segment ends on the grid;
-        # the fixture itself needs at least four cells
-        k = math.lcm(*range(1, n + 1))
-        while k < 4:
-            k *= 2
-        analysis = non_coexistence_fixture(n, k).analysis
+        k, result = helpers.aligned_fixture(n)
+        analysis = result.analysis
         assert analysis.aligned
         assert analysis.w1 == F(1, n)  # the n-th segment has length 1/n
         assert analysis.segment_mass == F(1, n)

@@ -327,6 +327,14 @@ class TestCoupling:
         assert "error[GridResolutionError]" in err
         assert "2" in err  # the reported least sufficient grid
 
+    def test_too_coarse_grid_exits_before_extending(self, capsys, monkeypatch, x_path, y_path):
+        def unexpected(*args):
+            pytest.fail("the extension was built for a grid that cannot work")
+
+        monkeypatch.setattr("adt.cli.extend_with_randomization", unexpected)
+        assert main(["coupling", x_path, y_path, "--transfer-m", "3"]) == 10
+        assert "error[GridResolutionError]" in capsys.readouterr().err
+
     def test_needs_two_trees_or_check(self, capsys, x_path):
         with pytest.raises(SystemExit):
             main(["coupling", x_path])

@@ -1,6 +1,5 @@
 """Quantile representations on the unit cube and the shared-basis diagnostics."""
 
-import math
 import random
 from fractions import Fraction as F
 
@@ -252,12 +251,7 @@ class TestConvergence:
 class TestFixture:
     def test_grid_aligned_masses(self):
         for n in range(2, 11):
-            # any multiple of lcm(1..n) keeps the segment ends on the grid;
-            # the fixture itself needs at least 4 cells
-            k = math.lcm(*range(1, n + 1))
-            while k < 4:
-                k *= 2
-            result = non_coexistence_fixture(n, k)
+            k, result = helpers.aligned_fixture(n)
             analysis = result.analysis
             assert analysis.aligned
             assert analysis.w1 == F(1, n)  # the n-th segment has length 1/n

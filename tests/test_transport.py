@@ -20,10 +20,13 @@ from adt import (
     aw_distance,
     information_lift_contraction_ratio,
     information_process,
+    law_on_paths,
     ot_solve,
+    path_cost,
     random_bicausal_cost,
     wasserstein_paths,
 )
+from adt.transport import _plain_transport
 
 
 def enumerate_feasible_vertices(mu, nu):
@@ -334,6 +337,44 @@ class TestFlatSolver:
     def test_float_costs_supported(self):
         value, _ = ot_solve([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
         assert value == pytest.approx(0.0)
+
+
+def path_cost_transport(a, b):
+    """Oracle: the path-space problem built cell by cell with ``path_cost``."""
+    law_a, law_b = law_on_paths(a), law_on_paths(b)
+    cost = [[path_cost(x, y, a.config) for y in law_b.atoms] for x in law_a.atoms]
+    return law_a, law_b, cost, ot_solve(law_a.weights, law_b.weights, cost)
+
+
+class TestPlainTransport:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_integer_matrix_matches_path_cost_build(self, p, d):
+        rng = random.Random(1000 * p + d)
+        for _ in range(12):
+            a, b = helpers.random_pair(rng, p=p, d=d)
+            law_a, law_b, _, (value, plan) = path_cost_transport(a, b)
+            assert wasserstein_paths(a, b) == value
+            assert _plain_transport(law_a, law_b, a.config) == (value, plan)
+
+    def test_weak_truncation_clips_a_cell(self):
+        x = helpers.bernoulli_x(p=0)
+        y = helpers.y_eps(F(1, 10), p=0)
+        law_x, law_y, cost, (value, plan) = path_cost_transport(x, y)
+        unclipped = [
+            [sum(x.config.step_cost(s, t) for s, t in zip(u, v)) for v in law_y.atoms]
+            for u in law_x.atoms
+        ]
+        assert unclipped != cost  # the crossed pairs cost 21/10 before the clip
+        assert value == wasserstein_paths(x, y) == F(1, 10)
+        assert _plain_transport(law_x, law_y, x.config) == (value, plan)
+
+    def test_non_integer_order_keeps_the_float_build(self):
+        a, b = helpers.random_pair(random.Random(32), p=F(3, 2), d=2)
+        law_a, law_b, _, (value, plan) = path_cost_transport(a, b)
+        assert isinstance(value, float)
+        assert wasserstein_paths(a, b) == value  # bit for bit
+        assert _plain_transport(law_a, law_b, a.config) == (value, plan)
 
 
 class TestAdaptedDistance:
