@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import ast
 import decimal
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import ConfigMismatchError, ExpressionError, SolverError
 from .process_model import FilteredTree

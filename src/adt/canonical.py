@@ -14,15 +14,16 @@ import itertools
 import json
 import threading
 import weakref
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
 
 from .errors import ConfigMismatchError, NotMarkovError, TreeValidationError
 from .process_model import (
     FilteredTree,
     MetricConfig,
     TreeNode,
+    _integers,
     _postorder,
     _unfold,
 )
@@ -95,8 +96,12 @@ def _rank(atoms: Iterable[NestedAtom], below: Mapping[NestedAtom, int]) -> dict[
     law, so the order of two atoms does not depend on which others are
     ranked with them, and no comparison looks more than one level down.
     """
-    ordered = sorted(set(atoms), key=lambda a: (a.value, tuple((below[c], w) for c, w in a.law)))
-    return {atom: k for k, atom in enumerate(ordered)}
+    distinct = list(set(atoms))
+    d = len(distinct[0].value)
+    # values compare as ints over one common denominator, in C
+    ints, _ = _integers([v for atom in distinct for v in atom.value])
+    key = {a: (ints[k * d:k * d + d], tuple((below[c], w) for c, w in a.law)) for k, a in enumerate(distinct)}
+    return {atom: k for k, atom in enumerate(sorted(distinct, key=key.__getitem__))}
 
 
 def _law(pairs: Iterable[tuple[NestedAtom, Fraction]], ranks: Mapping[NestedAtom, int]):
@@ -104,7 +109,7 @@ def _law(pairs: Iterable[tuple[NestedAtom, Fraction]], ranks: Mapping[NestedAtom
     ``ranks`` of their level."""
     merged: dict[NestedAtom, Fraction] = {}
     for atom, weight in pairs:
-        merged[atom] = merged.get(atom, Fraction(0)) + weight
+        merged[atom] = merged[atom] + weight if atom in merged else weight
     return tuple(sorted(merged.items(), key=lambda item: ranks[item[0]]))
 
 
@@ -112,7 +117,9 @@ def _intern(value: tuple[Fraction, ...], law_pairs: Iterable, ranks: Mapping[Nes
     """Return the unique atom with the given value and successor law;
     ``ranks`` ranks the successors' level."""
     law = _law(law_pairs, ranks)
-    key = (value, tuple((child.uid, w) for child, w in law))
+    # ints hash and compare in C, Fractions in Python
+    key = (tuple((v.numerator, v.denominator) for v in value),
+           tuple((child.uid, w.numerator, w.denominator) for child, w in law))
     with _INTERN_LOCK:
         atom = _INTERN.get(key)
         if atom is None:
@@ -251,27 +258,21 @@ def digest_tree(tree: FilteredTree) -> str:
 
 def _future_paths(tree: FilteredTree, label: Callable[[TreeNode], object]) -> dict[str, dict]:
     """Per node, the conditional law of the future label path strictly
-    after it, built level by level from the leaves up."""
-    laws: dict[str, dict[tuple, Fraction]] = {}
+    after it, built level by level from the leaves up.  Paths are interned
+    ints: 0 is the empty path, else (first label, id of the rest) has an id."""
+    ids: dict[tuple, int] = {}
+    laws: dict[str, dict[int, Fraction]] = {}
     for t in range(tree.config.num_steps, 0, -1):
         for node_id in tree.level(t):
             node = tree.node(node_id)
-            law = {} if node.children else {(): Fraction(1)}
+            law = {} if node.children else {0: Fraction(1)}
             for cid, p in node.children:
                 child_label = label(tree.node(cid))
                 for path, w in laws[cid].items():
-                    key = (child_label,) + path
+                    key = ids.setdefault((child_label, path), len(ids) + 1)
                     law[key] = law.get(key, Fraction(0)) + p * w
             laws[node_id] = law
     return laws
-
-
-def _prefix_groups(tree: FilteredTree, time: int, state: Callable[[TreeNode], object]) -> dict:
-    groups: dict[tuple, list[str]] = {}
-    for node_id in tree.level(time):
-        prefix = tuple(state(tree.node(n)) for n in tree.node_path(node_id))
-        groups.setdefault(prefix, []).append(node_id)
-    return groups
 
 
 def _conditionally_determined(
@@ -280,10 +281,18 @@ def _conditionally_determined(
     label: Callable[[TreeNode], object],
 ) -> tuple[bool, tuple | None]:
     """Check that the conditional future label law given the full filtration
-    only depends on the state prefix.  Returns (ok, witness)."""
+    only depends on the state prefix.  Returns (ok, witness).  Prefixes are
+    interned ints: (the parent's prefix id, the node's state) has an id."""
     laws = _future_paths(tree, label)
+    ids: dict[tuple, int] = {}
+    prefix: dict[str | None, int] = {None: 0}
     for t in range(1, tree.config.num_steps + 1):
-        for prefix, members in _prefix_groups(tree, t, state).items():
+        groups: dict[int, list[str]] = {}
+        for node_id in tree.level(t):
+            key = (prefix[tree.parent(node_id)], state(tree.node(node_id)))
+            prefix[node_id] = ids.setdefault(key, len(ids) + 1)
+            groups.setdefault(prefix[node_id], []).append(node_id)
+        for members in groups.values():
             reference = laws[members[0]]
             for other in members[1:]:
                 if laws[other] != reference:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .canonical import NestedAtom, _mapped_atoms, information_process
 from .errors import (
@@ -30,6 +30,10 @@ from .process_model import (
     FilteredTree,
     MetricConfig,
     TreeNode,
+    _is_array,
+    _is_object,
+    _json_object,
+    _memoized,
     _unfold,
     load_tree,
     parse_probability,
@@ -131,29 +135,22 @@ class PathCoupling:
 
 
 def load_coupling(document) -> PathCoupling:
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"malformed JSON: {exc}") from exc
-    if not isinstance(document, Mapping):
-        raise DocumentError("coupling document must be a JSON object")
-    for key in ("left_tree", "right_tree", "support"):
-        if key not in document:
-            raise DocumentError(f"coupling document is missing key {key!r}")
+    document = _json_object(document, "coupling", ("left_tree", "right_tree", "support"))
     left = load_tree(document["left_tree"])
     right = load_tree(document["right_tree"])
     support = document["support"]
-    if not isinstance(support, Sequence) or isinstance(support, (str, bytes)):
+    if not _is_array(support):
         raise DocumentError("'support' must be an array")
+    parse_weight = _memoized(parse_probability)
     weights = {}
     for entry in support:
-        if not isinstance(entry, Mapping) or not {"left", "right", "weight"} <= set(entry):
+        if not _is_object(entry) or not {"left", "right", "weight"} <= set(entry):
             raise DocumentError("each support entry needs 'left', 'right', 'weight'")
         key = (entry["left"], entry["right"])
         if not all(isinstance(cid, str) and cid for cid in key):
             raise DocumentError("support entry ids must be non-empty strings")
-        weights[key] = weights.get(key, Fraction(0)) + parse_probability(entry["weight"])
+        weight = parse_weight(entry["weight"])
+        weights[key] = weights[key] + weight if key in weights else weight
     return PathCoupling(left, right, weights)
 
 

@@ -13,12 +13,15 @@ derived quantity that is rational in the inputs is computed exactly.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from numbers import Rational
 
 from .errors import ConfigMismatchError, DocumentError, TreeValidationError
 
@@ -110,9 +113,54 @@ def format_fraction(value: Fraction, decimals: int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _parse_order(raw) -> Fraction:
-    p = parse_probability(raw) if not isinstance(raw, float) else Fraction(Decimal(repr(raw)))
-    return p
+def _memoized(parse):
+    """``parse`` run once per distinct string; one memo serves one document."""
+    cached = functools.cache(parse)
+    return lambda raw: cached(raw) if type(raw) is str else parse(raw)
+
+
+def _integers(values):
+    """``(ints, scale)`` with ``ints[k] == values[k] * scale``, ``scale`` the
+    lcm of the denominators, when every value is rational; otherwise
+    ``(values, None)``."""
+    if not all(issubclass(t, Rational) for t in set(map(type, values))):
+        return values, None
+    scale = math.lcm(*{x.denominator for x in values})
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _require_unit_sum(weights, message) -> None:
+    """Raise ``TreeValidationError(message(total))`` unless ``weights`` sum
+    to exactly 1.  Rational weights are added as integers; the ``Fraction``
+    total is built only for the message."""
+    ints, scale = _integers(weights)
+    if sum(ints) != (scale or 1):
+        raise TreeValidationError(message(sum(weights, Fraction(0))))
+
+
+def _is_object(raw) -> bool:
+    """A JSON object: a dict, or any other mapping."""
+    return type(raw) is dict or isinstance(raw, Mapping)
+
+
+def _is_array(raw) -> bool:
+    """A JSON array: a list, or any other sequence but a string."""
+    return type(raw) is list or (isinstance(raw, Sequence) and not isinstance(raw, (str, bytes)))
+
+
+def _json_object(document, kind: str, keys) -> Mapping:
+    """A document, parsed or as JSON text, checked to be an object with ``keys``."""
+    if isinstance(document, (str, bytes)):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise DocumentError(f"malformed JSON: {exc}") from exc
+    if not _is_object(document):
+        raise DocumentError(f"{kind} document must be a JSON object")
+    for key in keys:
+        if key not in document:
+            raise DocumentError(f"{kind} document is missing key {key!r}")
+    return document
 
 
 @dataclass(frozen=True)
@@ -207,7 +255,7 @@ class MetricConfig:
 
     @classmethod
     def from_document(cls, doc: Mapping) -> "MetricConfig":
-        if not isinstance(doc, Mapping):
+        if not _is_object(doc):
             raise DocumentError("config must be an object")
         for key in ("N", "d", "p"):
             if key not in doc:
@@ -217,7 +265,8 @@ class MetricConfig:
             dim = int(doc["d"])
         except (TypeError, ValueError) as exc:
             raise DocumentError("config N and d must be integers") from exc
-        order = _parse_order(doc["p"])
+        raw = doc["p"]
+        order = Fraction(Decimal(repr(raw))) if isinstance(raw, float) else parse_probability(raw)
         decimals = doc.get("value_decimals", default_value_decimals())
         try:
             decimals = int(decimals)
@@ -254,13 +303,10 @@ class DiscreteMeasure:
             raise TreeValidationError("measure atoms and weights differ in length")
         if len(set(self.atoms)) != len(self.atoms):
             raise TreeValidationError("measure atoms must be distinct")
-        total = Fraction(0)
         for w in self.weights:
             if w < 0:
                 raise TreeValidationError(f"measure weight {w} is negative")
-            total += w
-        if total != 1:
-            raise TreeValidationError(f"measure weights sum to {total}, expected 1")
+        _require_unit_sum(self.weights, lambda total: f"measure weights sum to {total}, expected 1")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, Fraction]]) -> "DiscreteMeasure":
@@ -360,9 +406,8 @@ class FilteredTree:
         self._parent = seen
 
     def _check_edges(self, owner: str, time: int, edges: Sequence[tuple[str, Fraction]]) -> None:
-        total = Fraction(0)
         labels = set()
-        for cid, prob in edges:
+        for k, (cid, prob) in enumerate(edges, 1):
             child = self._nodes.get(cid)
             if child is None:
                 raise TreeValidationError(f"{owner} references unknown node {cid!r}")
@@ -376,17 +421,14 @@ class FilteredTree:
                     f"{owner} carries probability {prob} on child {cid!r}; must be positive",
                     cid,
                 )
-            total += prob
-            label = (child.value, child.info)
-            if label in labels:
+            labels.add((child.value, child.info))
+            if len(labels) < k:  # hashes each label once
                 raise TreeValidationError(
                     f"{owner} has two children with value {_fmt_value(child.value)} "
                     f"and info {child.info!r}",
                     cid,
                 )
-            labels.add(label)
-        if total != 1:
-            raise TreeValidationError(f"child probabilities sum to {total} at {owner}")
+        _require_unit_sum([p for _, p in edges], lambda total: f"child probabilities sum to {total} at {owner}")
 
     # -- indexing ----------------------------------------------------------
 
@@ -407,9 +449,8 @@ class FilteredTree:
         self._levels = [tuple(ids) for ids in levels]
         self._prob = probs
         self._order = tuple(order)
-        total = sum(probs[leaf] for leaf in self._levels[cfg.num_steps])
-        if total != 1:
-            raise TreeValidationError(f"leaf probabilities sum to {total}, expected 1")
+        leaves = [probs[leaf] for leaf in self._levels[cfg.num_steps]]
+        _require_unit_sum(leaves, lambda total: f"leaf probabilities sum to {total}, expected 1")
 
     # -- accessors ---------------------------------------------------------
 
@@ -497,27 +538,20 @@ def load_tree(document) -> FilteredTree:
     Raises DocumentError for malformed documents and TreeValidationError,
     naming the offending node, for structural violations.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"malformed JSON: {exc}") from exc
-    if not isinstance(document, Mapping):
-        raise DocumentError("tree document must be a JSON object")
-    for key in ("config", "nodes", "root_children"):
-        if key not in document:
-            raise DocumentError(f"tree document is missing key {key!r}")
+    document = _json_object(document, "tree", ("config", "nodes", "root_children"))
     config = MetricConfig.from_document(document["config"])
     raw_nodes = document["nodes"]
-    if not isinstance(raw_nodes, Sequence) or isinstance(raw_nodes, (str, bytes)):
+    if not _is_array(raw_nodes):
         raise DocumentError("'nodes' must be an array")
+    parse_value = _memoized(lambda raw: parse_value_entry(raw, config.value_decimals))
+    parse_prob = _memoized(parse_probability)
     nodes: dict[str, TreeNode] = {}
     for raw in raw_nodes:
-        node = _parse_node(raw, config)
+        node = _parse_node(raw, parse_value, parse_prob)
         if node.node_id in nodes:
             raise TreeValidationError(f"duplicate node id {node.node_id!r}", node.node_id)
         nodes[node.node_id] = node
-    root_children = _parse_edges(document["root_children"], "root_children")
+    root_children = _parse_edges(document["root_children"], "root_children", parse_prob)
     return FilteredTree(config, nodes, root_children)
 
 
@@ -533,8 +567,8 @@ def load_tree_file(path) -> FilteredTree:
     return load_tree(document)
 
 
-def _parse_node(raw, config: MetricConfig) -> TreeNode:
-    if not isinstance(raw, Mapping):
+def _parse_node(raw, parse_value, parse_prob) -> TreeNode:
+    if not _is_object(raw):
         raise DocumentError("each node must be an object")
     for key in ("id", "time", "value"):
         if key not in raw:
@@ -547,27 +581,27 @@ def _parse_node(raw, config: MetricConfig) -> TreeNode:
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"node {node_id!r} has a non-integer time") from exc
     value_raw = raw["value"]
-    if not isinstance(value_raw, Sequence) or isinstance(value_raw, (str, bytes)):
+    if not _is_array(value_raw):
         raise DocumentError(f"node {node_id!r} value must be an array of coordinates")
-    value = tuple(parse_value_entry(v, config.value_decimals) for v in value_raw)
+    value = tuple(parse_value(v) for v in value_raw)
     info = raw.get("info", "")
     if not isinstance(info, str):
         raise DocumentError(f"node {node_id!r} info must be a string")
-    children = _parse_edges(raw.get("children", []), f"children of node {node_id!r}")
-    return TreeNode(node_id=node_id, time=time, value=value, info=info, children=children)
+    children = _parse_edges(raw.get("children", []), f"children of node {node_id!r}", parse_prob)
+    return TreeNode(node_id, time, value, info, children)
 
 
-def _parse_edges(raw, context: str) -> tuple[tuple[str, Fraction], ...]:
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+def _parse_edges(raw, context: str, parse_prob) -> tuple[tuple[str, Fraction], ...]:
+    if not _is_array(raw):
         raise DocumentError(f"{context} must be an array")
     edges = []
     for entry in raw:
-        if not isinstance(entry, Mapping) or "id" not in entry or "prob" not in entry:
+        if not _is_object(entry) or "id" not in entry or "prob" not in entry:
             raise DocumentError(f"{context}: each edge needs 'id' and 'prob'")
         cid = entry["id"]
         if not isinstance(cid, str) or not cid:
             raise DocumentError(f"{context}: edge id must be a non-empty string")
-        edges.append((cid, parse_probability(entry["prob"])))
+        edges.append((cid, parse_prob(entry["prob"])))
     return tuple(edges)
 
 

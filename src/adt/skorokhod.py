@@ -11,9 +11,9 @@ gap is computable exactly by sweeping the common interval refinement.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .canonical import CanonicalForm, NestedAtom, information_process
 from .errors import SolverError

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from operator import sub
-from typing import Sequence
 
 from .canonical import (
     CanonicalForm,
@@ -36,6 +35,7 @@ from .process_model import (
     DiscreteMeasure,
     FilteredTree,
     MetricConfig,
+    _integers,
     _postorder,
     law_on_paths,
     path_cost,
@@ -144,16 +144,6 @@ def ot_solve(mu, nu, cost):
     else:
         value = sum((rows[i][j] * w for i, j, w in support), 0.0)
     return value, TransportPlan(len(a), len(b), support)
-
-
-def _integers(values):
-    """``(ints, scale)`` with ``ints[k] == values[k] * scale``, ``scale`` the
-    lcm of the denominators, when every value is rational; otherwise
-    ``(values, None)``."""
-    if not all(issubclass(t, Rational) for t in set(map(type, values))):
-        return values, None
-    scale = math.lcm(*{x.denominator for x in values})
-    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def _simplex(a, b, cost, tol):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from adt import (
@@ -180,6 +182,70 @@ class TestSelfAwareness:
             lifted = self_aware_lift(tree)
             assert is_self_aware(lifted)
             assert hk_equivalent(lifted, self_aware_lift(tree))
+
+
+def _two_chains(n: int) -> FilteredTree:
+    """Two n-step chains from value 0 under distinct info labels; they
+    agree until the last value (1 against 2)."""
+    nodes = {}
+    for side, last in (("a", 1), ("b", 2)):
+        for t in range(1, n + 1):
+            value = 0 if t == 1 else (last if t == n else 1)
+            kids = ((f"{side}{t + 1}", F(1)),) if t < n else ()
+            nodes[f"{side}{t}"] = TreeNode(f"{side}{t}", t, (F(value),), side if t == 1 else "", kids)
+    return FilteredTree(helpers.cfg(n=n), nodes, (("a1", F(1, 2)), ("b1", F(1, 2))))
+
+
+def test_self_awareness_on_long_chains_reads_no_node_paths(monkeypatch):
+    calls = []
+    node_path = FilteredTree.node_path
+    monkeypatch.setattr(FilteredTree, "node_path", lambda tree, n: calls.append(n) or node_path(tree, n))
+    assert is_self_aware(helpers.chain_tree(range(3000)))
+    two = _two_chains(3000)
+    assert not is_self_aware(two)
+    values = {node.node_id: node.value for node in two.nodes()}
+    assert self_contained_check(two, values) == (False, (1, "a1", "b1"))
+    sides = {node.node_id: node.node_id[0] for node in two.nodes()}
+    assert self_contained_check(two, sides) == (True, None)
+    assert calls == []
+
+
+def _path_tuple_check(tree, state, label):
+    """The conditional-determination check on whole label tuples, with
+    each prefix read off ``node_path``: the definition, uninterned."""
+    laws = {}
+    for t in range(tree.config.num_steps, 0, -1):
+        for node_id in tree.level(t):
+            node = tree.node(node_id)
+            law = {} if node.children else {(): F(1)}
+            for cid, p in node.children:
+                for path, w in laws[cid].items():
+                    key = (label(tree.node(cid)),) + path
+                    law[key] = law.get(key, F(0)) + p * w
+            laws[node_id] = law
+    for t in range(1, tree.config.num_steps + 1):
+        groups = {}
+        for node_id in tree.level(t):
+            prefix = tuple(state(tree.node(n)) for n in tree.node_path(node_id))
+            groups.setdefault(prefix, []).append(node_id)
+        for members in groups.values():
+            for other in members[1:]:
+                if laws[other] != laws[members[0]]:
+                    return False, (t, members[0], other)
+    return True, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_self_awareness_matches_the_path_tuple_definition(seed):
+    rng = random.Random(seed)
+    for tree in (*helpers.random_pair(rng), helpers.sign_lift()):
+        by_value = _path_tuple_check(tree, lambda n: n.value, lambda n: n.value)
+        assert is_self_aware(tree) == by_value[0]
+        assert self_contained_check(tree, {n.node_id: n.value for n in tree.nodes()}) == by_value
+        coarse = {n.node_id: rng.randint(0, 1) for n in tree.nodes()}
+        expected = _path_tuple_check(tree, lambda n: coarse[n.node_id], lambda n: coarse[n.node_id])
+        assert self_contained_check(tree, coarse) == expected
 
 
 class TestMarkov:

@@ -1,0 +1,344 @@
+"""Document ingest: exact errors, one parse per distinct string, and no
+``typing`` aliases in runtime type checks."""
+
+import ast
+import itertools
+import random
+from collections import Counter
+from decimal import Decimal
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
+from adt import (
+    DiscreteMeasure,
+    DocumentError,
+    FilteredTree,
+    TreeNode,
+    TreeValidationError,
+    load_coupling,
+    load_tree,
+    parse_probability,
+    parse_value_entry,
+)
+from adt import couplings, process_model
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "adt"
+
+
+def _document(roots, steps: int, rng: random.Random) -> dict:
+    """A tree document from nested ``(value string, [subtrees])`` pairs.
+
+    Siblings get info labels by position, so a subtree repeated under one
+    parent stays valid; edge probabilities are integer weights as 'w/total'.
+    """
+    nodes = []
+    counter = itertools.count(1)
+
+    def edges(subtrees, time):
+        weights = [rng.randint(1, 4) for _ in subtrees]
+        out = []
+        for k, ((value, kids), w) in enumerate(zip(subtrees, weights)):
+            node_id = f"n{next(counter)}"
+            out.append({"id": node_id, "prob": f"{w}/{sum(weights)}"})
+            nodes.append({
+                "id": node_id, "time": time, "value": [value], "info": f"k{k}",
+                "children": edges(kids, time + 1),
+            })
+        return out
+
+    root = edges(roots, 1)
+    return {"config": {"N": steps, "d": 1, "p": "1"}, "nodes": nodes, "root_children": root}
+
+
+def _chain_doc(values, probs=None) -> dict:
+    """One parent 'a' at time 1 whose leaf children carry ``values``."""
+    probs = probs or ["1/%d" % len(values)] * len(values)
+    kids = [{"id": f"c{k}", "prob": p} for k, p in enumerate(probs)]
+    nodes = [{"id": "a", "time": 1, "value": ["0"], "children": kids}]
+    nodes += [{"id": f"c{k}", "time": 2, "value": [v]} for k, v in enumerate(values)]
+    return {
+        "config": {"N": 2, "d": 1, "p": "1"},
+        "nodes": nodes,
+        "root_children": [{"id": "a", "prob": "1"}],
+    }
+
+
+def _late_bad_probability() -> dict:
+    # '1/4' parses four times first (memo hit three times), then '1/4 x' fails
+    doc = _chain_doc(["1", "2", "3", "4"], ["1/4"] * 4)
+    doc["nodes"].append({"id": "b", "time": 1, "value": ["1"], "children": [
+        {"id": "b0", "prob": "1/4"}, {"id": "b1", "prob": "1/4 x"}]})
+    return doc
+
+
+def _probability_that_parsed_as_a_value() -> dict:
+    # '-1/4' is a good value and is in the value memo; as a probability it
+    # still parses on its own and fails validation
+    return _chain_doc(["-1/4", "1"], ["-1/4", "5/4"])
+
+
+def _off_by_a_trillionth() -> dict:
+    return _chain_doc(["1", "2"], ["1/2", "500000000001/1000000000000"])
+
+
+MALFORMED = {
+    "bad probability after the good one parsed": (
+        _late_bad_probability, DocumentError, "cannot parse probability '1/4 x'"),
+    "probability memo is not the value memo": (
+        _probability_that_parsed_as_a_value, TreeValidationError,
+        "node 'a' carries probability -1/4 on child 'c0'; must be positive"),
+    "float probability": (
+        lambda: _chain_doc(["1", "2"], [0.5, "1/2"]), DocumentError,
+        "probabilities must be strings or integers, got float"),
+    "list value": (
+        lambda: _chain_doc([["1"], "2"]), DocumentError,
+        "value coordinates must be strings or numbers, got list"),
+    "0.5 and 1/2 collide as one label": (
+        lambda: _chain_doc(["0.5", "1/2"]), TreeValidationError,
+        "node 'a' has two children with value (1/2) and info ''"),
+    "children off by 1/10^12": (
+        _off_by_a_trillionth, TreeValidationError,
+        "child probabilities sum to 1000000000001/1000000000000 at node 'a'"),
+    "root children off by 1/10^12": (
+        lambda: {**_chain_doc(["1"]), "root_children": [
+            {"id": "a", "prob": "999999999999/1000000000000"}]},
+        TreeValidationError,
+        "child probabilities sum to 999999999999/1000000000000 at the root"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_errors(case):
+    build, error, message = MALFORMED[case]
+    with pytest.raises(error) as caught:
+        load_tree(build())
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_leaf_total_failure_names_the_exact_total():
+    # float edges that sum to 1.0 in floats, under three exact 1/3 roots:
+    # the leaf masses are floats whose sum misses 1
+    third = 1.0 - 0.1 - 0.2
+    nodes = {}
+    for r in range(3):
+        kids = tuple((f"r{r}.{k}", q) for k, q in enumerate((0.1, 0.2, third)))
+        nodes[f"r{r}"] = TreeNode(f"r{r}", 1, (F(r),), "", kids)
+        for k, (cid, _) in enumerate(kids):
+            nodes[cid] = TreeNode(cid, 2, (F(k),), "", ())
+    config = load_tree(_chain_doc(["1"])).config
+    with pytest.raises(TreeValidationError) as caught:
+        FilteredTree(config, nodes, tuple((f"r{r}", F(1, 3)) for r in range(3)))
+    assert str(caught.value) == "leaf probabilities sum to 0.9999999999999999, expected 1"
+
+
+def test_float_value_parses_like_its_repr():
+    # a float bypasses the string memo and parses through its repr
+    tree = load_tree(_chain_doc([0.375, "0.5", 0.1], ["1/2", "1/4", "1/4"]))
+    assert [tree.node(f"c{k}").value for k in range(3)] == [(F(3, 8),), (F(1, 2),), (F(1, 10),)]
+
+
+def test_measure_total_failure_names_the_exact_total():
+    with pytest.raises(TreeValidationError) as caught:
+        DiscreteMeasure(("x", "y"), (F(1, 3), F(1, 2)))
+    assert str(caught.value) == "measure weights sum to 5/6, expected 1"
+
+
+# -- load_tree against a one-parse-per-entry reference ----------------------------
+
+VALUE_STRINGS = ("0", "1", "-1", "0.5", "1/2", "2/4", "3/8", "0.375", "-1/4", "0.15", "1/3", " 7 ")
+
+
+def _spellings(p: F) -> list:
+    out = [f"{p.numerator}/{p.denominator}", f"{2 * p.numerator}/{2 * p.denominator}"]
+    if p == 1:
+        out.append(1)
+    if all(f in (2, 5) for f in _factors(p.denominator)):
+        out.append(str(Decimal(p.numerator) / Decimal(p.denominator)))
+    return out
+
+
+def _factors(n: int) -> list:
+    found, k = [], 2
+    while n > 1:
+        while n % k == 0:
+            found.append(k)
+            n //= k
+        k += 1
+    return found
+
+
+@st.composite
+def documents(draw):
+    steps = draw(st.integers(1, 3))
+    counter = itertools.count(1)
+    nodes = []
+
+    def edges(time):
+        weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        out = []
+        for k, w in enumerate(weights):
+            node_id = f"n{next(counter)}"
+            prob = draw(st.sampled_from(_spellings(F(w, sum(weights)))))
+            out.append({"id": node_id, "prob": prob})
+            kids = edges(time + 1) if time < steps else []
+            value = [draw(st.sampled_from(VALUE_STRINGS))]
+            nodes.append({"id": node_id, "time": time, "value": value, "info": f"i{k}", "children": kids})
+        return out
+
+    root = edges(1)
+    decimals = draw(st.sampled_from((1, 2, 12)))
+    config = {"N": steps, "d": 1, "p": "1", "value_decimals": decimals}
+    return {"config": config, "nodes": nodes, "root_children": root}
+
+
+def _reference(doc):
+    """Values, edges and leaf masses with one parse call per entry."""
+    decimals = doc["config"]["value_decimals"]
+    values = {n["id"]: tuple(parse_value_entry(v, decimals) for v in n["value"]) for n in doc["nodes"]}
+    edges = {
+        n["id"]: tuple((e["id"], parse_probability(e["prob"])) for e in n["children"])
+        for n in doc["nodes"]
+    }
+    roots = tuple((e["id"], parse_probability(e["prob"])) for e in doc["root_children"])
+    mass, stack = {}, list(roots)
+    while stack:
+        node_id, p = stack.pop()
+        mass[node_id] = p
+        stack.extend((cid, p * q) for cid, q in edges[node_id])
+    return values, edges, roots, mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents())
+def test_load_tree_matches_one_parse_per_entry(doc):
+    tree = load_tree(doc)
+    values, edges, roots, mass = _reference(doc)
+    assert tree.root_children == roots
+    for node in tree.nodes():
+        assert node.value == values[node.node_id]
+        assert all(type(v) is F for v in node.value)
+        assert node.children == edges[node.node_id]
+        assert all(type(p) is F for _, p in node.children)
+    for leaf in tree.leaves():
+        assert tree.prob(leaf) == mass[leaf]
+
+
+# -- parse work ---------------------------------------------------------------------
+
+
+def _bushy(rng: random.Random, steps: int, width: int, dup_rate: float):
+    """Nested ``(value, subtrees)``: some siblings repeat the first one."""
+
+    def build(time):
+        value = f"{rng.randint(-8, 8)}/8"
+        if time == steps:
+            return value, []
+        kids = [build(time + 1)]
+        for _ in range(width - 1):
+            kids.append(kids[0] if rng.random() < dup_rate else build(time + 1))
+        return value, kids
+
+    return [build(1) for _ in range(width)]
+
+
+def test_each_distinct_string_parses_once(monkeypatch):
+    rng = random.Random(5)
+    doc = _document(_bushy(rng, 5, 4, 0.3), 5, rng)
+    calls = {"value": [], "prob": []}
+
+    def counting(key, fn):
+        def wrapper(raw, *args):
+            calls[key].append(raw)
+            return fn(raw, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(process_model, "parse_value_entry", counting("value", parse_value_entry))
+    monkeypatch.setattr(process_model, "parse_probability", counting("prob", parse_probability))
+    tree = load_tree(doc)
+
+    assert tree.size() == len(doc["nodes"]) >= 1000
+    value_strings = [v for n in doc["nodes"] for v in n["value"]]
+    prob_strings = [e["prob"] for n in doc["nodes"] for e in n["children"]]
+    prob_strings += [e["prob"] for e in doc["root_children"]]
+    assert len(value_strings) > 10 * len(set(value_strings))
+    assert Counter(calls["value"]) == Counter(set(value_strings))
+    # the config's order "p" goes through parse_probability once more
+    assert Counter(calls["prob"]) == Counter(set(prob_strings)) + Counter([doc["config"]["p"]])
+
+
+def test_coupling_weights_parse_once_and_merge_repeats(monkeypatch):
+    calls = []
+
+    def counting(raw):
+        calls.append(raw)
+        return parse_probability(raw)
+
+    x = helpers.bernoulli_x()
+    support = [("a+", "a+", "2/8"), ("a-", "a-", "4/8"), ("a+", "a+", "2/8")]
+    doc = {
+        "left_tree": x.to_document(),
+        "right_tree": x.to_document(),
+        "support": [{"left": l, "right": r, "weight": w} for l, r, w in support],
+    }
+    monkeypatch.setattr(couplings, "parse_probability", counting)
+    pi = load_coupling(doc)
+    assert pi.support_items() == [(("a+", "a+"), F(1, 2)), (("a-", "a-"), F(1, 2))]
+    assert all(type(w) is F for _, w in pi.support_items())
+    assert calls == ["2/8", "4/8"]
+
+
+# -- runtime type checks --------------------------------------------------------------
+
+
+def _typing_isinstance_calls(source: str, name: str) -> list:
+    """``isinstance``/``issubclass`` calls in ``source`` whose class argument
+    names a ``typing`` alias, as 'name:line'."""
+    tree = ast.parse(source)
+    aliases, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            aliases.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "typing")
+
+    def from_typing(arg) -> bool:
+        if isinstance(arg, ast.Tuple):
+            return any(from_typing(elt) for elt in arg.elts)
+        if isinstance(arg, ast.Name):
+            return arg.id in aliases
+        return isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name) and arg.value.id in modules
+
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("isinstance", "issubclass")
+        and len(node.args) == 2
+        and from_typing(node.args[1])
+    ]
+
+
+def test_scan_flags_typing_aliases():
+    source = (
+        "import typing\nfrom typing import Mapping as M, Sequence\n"
+        "isinstance(x, M)\nisinstance(x, (str, Sequence))\nissubclass(t, typing.Mapping)\n"
+        "from collections.abc import Set\nisinstance(x, Set)\n"
+    )
+    assert _typing_isinstance_calls(source, "m") == ["m:3", "m:4", "m:5"]
+
+
+def test_no_typing_alias_in_isinstance():
+    found = [
+        hit
+        for path in sorted(SRC.glob("*.py"))
+        for hit in _typing_isinstance_calls(path.read_text(encoding="utf-8"), path.stem)
+    ]
+    assert found == []
