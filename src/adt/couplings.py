@@ -94,20 +94,14 @@ class PathCoupling:
                 raise TreeValidationError(f"{r!r} is not a leaf of the right tree", r)
             left_mass[l] = left_mass.get(l, Fraction(0)) + w
             right_mass[r] = right_mass.get(r, Fraction(0)) + w
-        for leaf in left_leaves:
-            if left_mass.get(leaf, Fraction(0)) != self.left.prob(leaf):
-                raise TreeValidationError(
-                    f"left marginal mismatch at leaf {leaf!r}: "
-                    f"{left_mass.get(leaf, Fraction(0))} vs {self.left.prob(leaf)}",
-                    leaf,
-                )
-        for leaf in right_leaves:
-            if right_mass.get(leaf, Fraction(0)) != self.right.prob(leaf):
-                raise TreeValidationError(
-                    f"right marginal mismatch at leaf {leaf!r}: "
-                    f"{right_mass.get(leaf, Fraction(0))} vs {self.right.prob(leaf)}",
-                    leaf,
-                )
+        for side, tree, mass in (("left", self.left, left_mass), ("right", self.right, right_mass)):
+            for leaf in tree.leaves():
+                if mass.get(leaf, Fraction(0)) != tree.prob(leaf):
+                    raise TreeValidationError(
+                        f"{side} marginal mismatch at leaf {leaf!r}: "
+                        f"{mass.get(leaf, Fraction(0))} vs {tree.prob(leaf)}",
+                        leaf,
+                    )
 
     def support_items(self) -> list[tuple[tuple[str, str], Fraction]]:
         return sorted(self.weights.items())
@@ -116,11 +110,11 @@ class PathCoupling:
         """Expected path cost under the coupling (the true path metric; in
         weak mode each path pair is truncated before averaging)."""
         cfg = self.left.config
+        left = {leaf: self.left.value_path(leaf) for leaf in self.left.leaves()}
+        right = {leaf: self.right.value_path(leaf) for leaf in self.right.leaves()}
         total = Fraction(0)
         for (l, r), w in self.weights.items():
-            total += w * path_cost(
-                self.left.value_path(l), self.right.value_path(r), cfg
-            )
+            total += w * path_cost(left[l], right[r], cfg)
         return total
 
     def to_document(self) -> dict:
@@ -170,15 +164,19 @@ class BicausalReport:
     right_to_left: CausalityReport
 
 
-def _ancestor_maps(tree: FilteredTree) -> list[dict[str, str]]:
-    """Per time t (1-based index t-1): leaf id -> ancestor node id at time t."""
-    n = tree.config.num_steps
-    maps: list[dict[str, str]] = [dict() for _ in range(n)]
-    for leaf in tree.leaves():
-        chain = tree.node_path(leaf)
-        for t in range(1, n + 1):
-            maps[t - 1][leaf] = chain[t - 1]
-    return maps
+def _masses_up(masses: Mapping, up, n: int) -> list[dict]:
+    """Masses keyed at time ``n`` carried up to time 1 (entry t-1 is time
+    t): ``up`` maps a key one step up along the parent links, and masses
+    whose keys meet there are added."""
+    levels = [dict(masses)]
+    for _ in range(n - 1):
+        upper: dict = {}
+        for key, w in levels[-1].items():
+            key = up(key)
+            upper[key] = upper[key] + w if key in upper else w
+        levels.append(upper)
+    levels.reverse()
+    return levels
 
 
 def check_causal(pi: PathCoupling, direction: str = "left_to_right") -> CausalityReport:
@@ -187,49 +185,43 @@ def check_causal(pi: PathCoupling, direction: str = "left_to_right") -> Causalit
     For ``left_to_right`` the right process may not anticipate the left one:
     conditionally on the left past at every time t, the full left path gives
     no extra information about right atoms at time t.  The test compares
-    conditional probabilities atom by atom in exact arithmetic and returns
-    the first violation as (time, conditioning atom, target atom).
+    conditional probabilities atom by atom in exact arithmetic, without
+    dividing.  It relies on ``PathCoupling``'s validated marginals: the
+    coupling mass of an own node is its probability in its tree.
+
+    Returns the first violation as (time, own leaf, other node at that
+    time), in the order of time ascending, then own leaf id, then other
+    node id.
     """
     if direction == "left_to_right":
         own, other = pi.left, pi.right
-        pairs = list(pi.weights.items())
+        pairs = pi.weights.items()
     elif direction == "right_to_left":
         own, other = pi.right, pi.left
         pairs = [((r, l), w) for (l, r), w in pi.weights.items()]
     else:
         raise SolverError(f"unknown direction {direction!r}")
 
-    n = own.config.num_steps
-    own_anc = _ancestor_maps(own)
-    other_anc = _ancestor_maps(other)
-    own_leaf_mass: dict[str, Fraction] = {}
-    for (l, r), w in pairs:
-        own_leaf_mass[l] = own_leaf_mass.get(l, Fraction(0)) + w
-
-    for t in range(1, n):
-        fine: dict[tuple[str, str], Fraction] = {}
-        for (l, r), w in pairs:
-            key = (l, other_anc[t - 1][r])
-            fine[key] = fine.get(key, Fraction(0)) + w
+    # fine masses keyed (own ancestor a, own leaf l, other ancestor b) per time
+    levels = _masses_up(
+        {(l, l, r): w for (l, r), w in pairs},
+        lambda key: (own.parent(key[0]), key[1], other.parent(key[2])),
+        own.config.num_steps,
+    )
+    for t, fine in enumerate(levels[:-1], 1):
         coarse: dict[tuple[str, str], Fraction] = {}
-        coarse_mass: dict[str, Fraction] = {}
-        for (l, b), w in fine.items():
-            a = own_anc[t - 1][l]
-            coarse[(a, b)] = coarse.get((a, b), Fraction(0)) + w
-        for l, w in own_leaf_mass.items():
-            a = own_anc[t - 1][l]
-            coarse_mass[a] = coarse_mass.get(a, Fraction(0)) + w
-        # compare conditional laws without dividing
-        targets: dict[str, list[str]] = {}
-        for aa, bb in coarse:
-            targets.setdefault(aa, []).append(bb)
-        for l in sorted(own_leaf_mass):
-            m_l = own_leaf_mass[l]
-            a = own_anc[t - 1][l]
-            for b in sorted(targets.get(a, ())):
-                lhs = fine.get((l, b), Fraction(0)) * coarse_mass[a]
-                rhs = coarse.get((a, b), Fraction(0)) * m_l
-                if lhs != rhs:
+        targets: dict[str, set[str]] = {}
+        ancestor: dict[str, str] = {}
+        for (a, l, b), w in fine.items():
+            coarse[(a, b)] = coarse[(a, b)] + w if (a, b) in coarse else w
+            targets.setdefault(a, set()).add(b)
+            ancestor[l] = a
+        ordered = {a: sorted(bs) for a, bs in targets.items()}
+        for l in sorted(ancestor):
+            a = ancestor[l]
+            for b in ordered[a]:
+                lhs = fine.get((a, l, b), Fraction(0)) * own.prob(a)
+                if lhs != coarse[(a, b)] * own.prob(l):
                     return CausalityReport(ok=False, witness=(t, l, b))
     return CausalityReport(ok=True, witness=None)
 
@@ -255,28 +247,20 @@ def assemble_optimal_coupling(
     res_a, res_b = table.check_matches(a, b)
 
     weights: dict[tuple[str, str], Fraction] = {}
-
-    def masses(edges, node_atom):
-        out: dict[NestedAtom, Fraction] = {}
-        for cid, p in edges:
-            atom = node_atom[cid]
-            out[atom] = out.get(atom, Fraction(0)) + p
-        return out
-
-    # node pairs level by level, each with its mass and the plan between
-    # the successor laws of its atoms; leaf pairs come out in depth-first order
-    level = [(None, None, Fraction(1), table.root_plan)]
+    # node pairs level by level, each with its mass, the plan between the
+    # successor laws of its atoms and those laws, which hold the mass of
+    # each child atom among the node's children; leaf pairs come out in
+    # depth-first order
+    level = [(None, None, Fraction(1), table.root_plan, res_a.form.law, res_b.form.law)]
     while level:
         nxt = []
-        for u, v, weight, plan in level:
-            edges_a = a.children(u)
-            edges_b = b.children(v)
-            mass_a = masses(edges_a, res_a.node_atom)
-            mass_b = masses(edges_b, res_b.node_atom)
+        for u, v, weight, plan, law_a, law_b in level:
+            mass_a = dict(law_a)
+            mass_b = dict(law_b)
             plan_map = {(x, y): w for x, y, w in plan}
-            for cu, q in edges_a:
+            for cu, q in a.children(u):
                 atom_u = res_a.node_atom[cu]
-                for cv, r in edges_b:
+                for cv, r in b.children(v):
                     atom_v = res_b.node_atom[cv]
                     base = plan_map.get((atom_u, atom_v), Fraction(0))
                     if base == 0:
@@ -286,7 +270,8 @@ def assemble_optimal_coupling(
                     if child_a.is_leaf:
                         weights[(cu, cv)] = w
                     else:
-                        nxt.append((cu, cv, w, table.entry(child_a.time, atom_u, atom_v).plan))
+                        plan_uv = table.entry(child_a.time, atom_u, atom_v).plan
+                        nxt.append((cu, cv, w, plan_uv, atom_u.law, atom_v.law))
         level = nxt
     return PathCoupling(a, b, weights)
 
@@ -328,63 +313,45 @@ def product_process(pi: PathCoupling) -> ProductTree:
         )
     left, right = pi.left, pi.right
     cfg = left.config
-    n = cfg.num_steps
-    anc_l = _ancestor_maps(left)
-    anc_r = _ancestor_maps(right)
 
-    mass: list[dict[tuple[str, str], Fraction]] = [dict() for _ in range(n)]
-    for (l, r), w in pi.weights.items():
-        for t in range(1, n + 1):
-            key = (anc_l[t - 1][l], anc_r[t - 1][r])
-            mass[t - 1][key] = mass[t - 1].get(key, Fraction(0)) + w
+    def up(uv):
+        return left.parent(uv[0]), right.parent(uv[1])
 
-    order_l = {nid: k for t in range(1, n + 1) for k, nid in enumerate(left.level(t))}
-    order_r = {nid: k for t in range(1, n + 1) for k, nid in enumerate(right.level(t))}
+    mass = _masses_up(pi.weights, up, cfg.num_steps)
+    order_l = {nid: k for t in range(1, cfg.num_steps + 1) for k, nid in enumerate(left.level(t))}
+    order_r = {nid: k for t in range(1, cfg.num_steps + 1) for k, nid in enumerate(right.level(t))}
 
-    ids: dict[tuple[int, tuple[str, str]], str] = {}
-    for t in range(1, n + 1):
-        level_pairs = sorted(mass[t - 1], key=lambda uv: (order_l[uv[0]], order_r[uv[1]]))
-        for k, uv in enumerate(level_pairs):
-            ids[(t, uv)] = f"p{t}.{k}"
+    def rank(uv):
+        return order_l[uv[0]], order_r[uv[1]]
 
-    children_of: dict[tuple[int, tuple[str, str]], list[tuple[str, Fraction]]] = {}
-    for t in range(2, n + 1):
-        for uv, w in mass[t - 1].items():
-            parent = (left.parent(uv[0]), right.parent(uv[1]))
-            children_of.setdefault((t - 1, parent), []).append(
-                (ids[(t, uv)], w / mass[t - 2][parent])
-            )
+    ids: dict[tuple[str, str], str] = {}
+    for t, level in enumerate(mass, 1):
+        ids.update((uv, f"p{t}.{k}") for k, uv in enumerate(sorted(level, key=rank)))
+    kids: dict[tuple[str, str], list[tuple[str, Fraction]]] = {uv: [] for uv in ids}
+    for above, level in zip(mass, mass[1:]):
+        for uv, w in level.items():
+            kids[up(uv)].append((ids[uv], w / above[up(uv)]))
 
     nodes: dict[str, TreeNode] = {}
-    pairs_map: dict[str, tuple[str, str]] = {}
-    for (t, uv), pid in ids.items():
-        u, v = uv
+    for (u, v), pid in ids.items():
         node_u, node_v = left.node(u), right.node(v)
-        kids = children_of.get((t, uv), [])
-        kids.sort(key=lambda item: item[0])
         # the info label carries the full pair identity so that slicing the
         # values (projections, interpolation) never merges distinct atoms
         nodes[pid] = TreeNode(
             node_id=pid,
-            time=t,
+            time=node_u.time,
             value=node_u.value + node_v.value,
             info=json.dumps([u, v]),
-            children=tuple(kids),
+            children=tuple(sorted(kids[(u, v)])),
         )
-        pairs_map[pid] = uv
-
-    root = [
-        (ids[(1, uv)], w) for uv, w in sorted(
-            mass[0].items(), key=lambda item: (order_l[item[0][0]], order_r[item[0][1]])
-        )
-    ]
+    root = [(ids[uv], mass[0][uv]) for uv in sorted(mass[0], key=rank)]
     prod_cfg = replace(
         cfg,
         dim=2 * cfg.dim,
         value_decimals=max(cfg.value_decimals, right.config.value_decimals),
     )
     tree = FilteredTree(prod_cfg, nodes, root)
-    return ProductTree(tree=tree, left=left, right=right, pairs=pairs_map)
+    return ProductTree(tree=tree, left=left, right=right, pairs={pid: uv for uv, pid in ids.items()})
 
 
 def project_product(product: ProductTree, side: str) -> FilteredTree:
@@ -533,25 +500,28 @@ def verify_randomization_independence(ext: RandomizedExtension) -> bool:
     from .canonical import self_aware_lift
 
     etree = ext.tree
-    n = etree.config.num_steps
     lift = self_aware_lift(ext.base)
+    lift_path: dict[str | None, tuple] = {None: ()}
+    for node in lift.nodes():
+        lift_path[node.node_id] = lift_path[lift.parent(node.node_id)] + (node.value,)
     inv_m = Fraction(1, ext.m)
-    for t in range(1, n + 1):
+    # masses keyed (decorated base path, extension node at time t) per time
+    levels = _masses_up(
+        {(lift_path[ext.node_map[leaf][0]], leaf): etree.prob(leaf) for leaf in etree.leaves()},
+        lambda key: (key[0], etree.parent(key[1])),
+        etree.config.num_steps,
+    )
+    for level in levels:
         joint: dict[tuple, Fraction] = {}
         marginal: dict[tuple, Fraction] = {}
-        for leaf in etree.leaves():
-            base_leaf, chain = ext.node_map[leaf]
-            w = etree.prob(leaf)
-            lift_path = lift.value_path(base_leaf)
-            prior = etree.node_path(leaf)[t - 2] if t >= 2 else None
-            digit = chain[t - 1]
-            joint_key = (lift_path, prior, digit)
+        for (path, node), w in level.items():
+            marg_key = (path, etree.parent(node))
+            joint_key = marg_key + (ext.node_map[node][1][-1],)
             joint[joint_key] = joint.get(joint_key, Fraction(0)) + w
-            marg_key = (lift_path, prior)
             marginal[marg_key] = marginal.get(marg_key, Fraction(0)) + w
-        for (lift_path, prior), w in marginal.items():
+        for key, w in marginal.items():
             for g in range(ext.m):
-                if joint.get((lift_path, prior, g), Fraction(0)) != w * inv_m:
+                if joint.get(key + (g,), Fraction(0)) != w * inv_m:
                     return False
     return True
 

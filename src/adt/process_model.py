@@ -97,10 +97,10 @@ def parse_value_entry(raw, decimals: int) -> Fraction:
             raise DocumentError(f"cannot parse value coordinate {raw!r}") from exc
     try:
         quantum = Decimal(1).scaleb(-decimals)
-        dec = Decimal(text).quantize(quantum, rounding=ROUND_HALF_EVEN)
-    except InvalidOperation as exc:
+        # a quiet NaN quantizes to itself and fails only as a Fraction
+        return Fraction(Decimal(text).quantize(quantum, rounding=ROUND_HALF_EVEN))
+    except (InvalidOperation, ValueError) as exc:
         raise DocumentError(f"cannot parse value coordinate {raw!r}") from exc
-    return Fraction(dec)
 
 
 def format_fraction(value: Fraction, decimals: int) -> str:

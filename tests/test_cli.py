@@ -40,6 +40,14 @@ class TestValidate:
         assert code == 3
         assert "error[DocumentError]" in capsys.readouterr().err
 
+    def test_nan_value_exits_3(self, capsys, tmp_path):
+        doc = helpers.bernoulli_x().to_document()
+        doc["nodes"][-1]["value"] = ["NaN"]
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 3
+        assert "cannot parse value coordinate 'NaN'" in capsys.readouterr().err
+
     def test_invalid_document_exits_4(self, capsys, tmp_path):
         doc = helpers.bernoulli_x().to_document()
         doc["root_children"][0]["prob"] = "2/3"  # no longer sums to one

@@ -1,6 +1,7 @@
 """Couplings: causality checks, products, geodesics, extensions, transfer."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +9,11 @@ import pytest
 import helpers
 from adt import (
     ConfigMismatchError,
+    FilteredTree,
     GridResolutionError,
     NotBicausalError,
     PathCoupling,
+    RandomizedExtension,
     SolverError,
     StaleTableError,
     TreeValidationError,
@@ -63,6 +66,51 @@ def optimal_product(a, b):
     return value, product_process(pi)
 
 
+def transport_vertex(rng, a, b):
+    """A vertex of the transport polytope between the leaf laws: the
+    north-west corner rule on shuffled leaves.  Rarely causal."""
+    rows, cols = list(a.leaves()), list(b.leaves())
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    left = {l: a.prob(l) for l in rows}
+    right = {r: b.prob(r) for r in cols}
+    weights, i, j = {}, 0, 0
+    while i < len(rows) and j < len(cols):
+        q = min(left[rows[i]], right[cols[j]])
+        weights[(rows[i], cols[j])] = q
+        left[rows[i]] -= q
+        right[cols[j]] -= q
+        if left[rows[i]] == 0:
+            i += 1
+        else:
+            j += 1
+    return PathCoupling(a, b, weights)
+
+
+def causality_oracle(pi, direction):
+    """Causality by its definition: at every time t, the law of the other
+    side's time-t node given one's own whole path equals its law given
+    one's own time-t node.  Conditional probabilities are quotients of
+    coupling masses; ancestors come from ``node_path``.  Returns (ok,
+    first witness), scanning t, then own leaf, then other node ascending."""
+    own, other = (pi.left, pi.right) if direction == "left_to_right" else (pi.right, pi.left)
+    pairs = [(lr if direction == "left_to_right" else lr[::-1], w) for lr, w in pi.weights.items()]
+    own_path = {l: own.node_path(l) for l in own.leaves()}
+    other_path = {r: other.node_path(r) for r in other.leaves()}
+    for t in range(1, own.config.num_steps):
+        fine, coarse, leaf_mass, atom_mass = {}, {}, {}, {}
+        for (l, r), w in pairs:
+            a, b = own_path[l][t - 1], other_path[r][t - 1]
+            for table, key in ((fine, (l, b)), (coarse, (a, b)), (leaf_mass, l), (atom_mass, a)):
+                table[key] = table.get(key, F(0)) + w
+        for l in sorted(leaf_mass):
+            a = own_path[l][t - 1]
+            for b in sorted(other.level(t)):
+                if fine.get((l, b), F(0)) / leaf_mass[l] != coarse.get((a, b), F(0)) / atom_mass[a]:
+                    return False, (t, l, b)
+    return True, None
+
+
 class TestPathCoupling:
     def test_product_coupling_cost(self):
         x = helpers.bernoulli_x()
@@ -91,6 +139,15 @@ class TestPathCoupling:
         x = helpers.bernoulli_x()
         with pytest.raises(TreeValidationError, match="marginal"):
             PathCoupling(x, x, {("a+", "a+"): F(1, 2), ("a-", "a-"): F(1, 4)})
+
+    def test_names_the_first_mismatched_leaf(self):
+        tree = helpers.random_walk_tree(3)
+        first, last = tree.leaves()[0], tree.leaves()[-1]
+        weights = {(l, l): tree.prob(l) for l in tree.leaves()}
+        weights[(first, last)] = weights.pop((first, first))
+        with pytest.raises(TreeValidationError) as caught:
+            PathCoupling(tree, tree, weights)
+        assert str(caught.value) == f"right marginal mismatch at leaf {first!r}: 0 vs {tree.prob(first)}"
 
     def test_rejects_unknown_leaf(self):
         x = helpers.bernoulli_x()
@@ -146,6 +203,22 @@ class TestCausality:
         first = check_causal(pi, "left_to_right").witness
         for _ in range(5):
             assert check_causal(pi, "left_to_right").witness == first
+
+    def test_matches_the_definition(self):
+        rng = random.Random(808)
+        verdicts = []
+        for _ in range(24):
+            a, b = helpers.random_pair(rng)
+            _, table = aw_distance(a, b)
+            couplings = [assemble_optimal_coupling(table, a, b), product_coupling(a, b)]
+            couplings += [transport_vertex(rng, a, b) for _ in range(3)]
+            for pi in couplings:
+                for direction in ("left_to_right", "right_to_left"):
+                    report = check_causal(pi, direction)
+                    assert (report.ok, report.witness) == causality_oracle(pi, direction)
+                    verdicts.append(report.ok)
+        # both verdicts occur often enough for the witnesses to be compared
+        assert verdicts.count(False) > 30 and verdicts.count(True) > 100
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(SolverError):
@@ -276,6 +349,18 @@ class TestRandomizedExtension:
         for node in base.nodes():
             assert per_base[node.node_id] == 2 ** node.time
 
+    def test_dependent_digit_rejected(self):
+        ext = extend_with_randomization(helpers.bernoulli_x(), 2)
+        # under the first time-1 copy, the next digit leans toward 0
+        node = ext.tree.node(ext.tree.level(1)[0])
+        (c0, q0), (c1, q1), *rest = node.children
+        nodes = {n.node_id: n for n in ext.tree.nodes()}
+        nodes[node.node_id] = replace(node, children=((c0, q0 + q1 / 2), (c1, q1 / 2), *rest))
+        tree = FilteredTree(ext.tree.config, nodes, ext.tree.root_children)
+        leaning = RandomizedExtension(ext.base, ext.m, tree, ext.node_map)
+        assert hk_equivalent(leaning.tree, ext.base)
+        assert not verify_randomization_independence(leaning)
+
     def test_grid_too_small_rejected(self):
         with pytest.raises(SolverError):
             extend_with_randomization(helpers.bernoulli_x(), 1)
@@ -347,3 +432,18 @@ class TestTransfer:
         ext = extend_with_randomization(helpers.sign_lift(), 2)
         with pytest.raises(ConfigMismatchError):
             transfer(product, ext)
+
+
+def test_coupling_layer_on_long_chains_reads_no_node_paths(monkeypatch):
+    a = helpers.chain_tree(range(3000))
+    b = helpers.chain_tree([k % 3 for k in range(3000)])
+    _, table = aw_distance(a, b)
+    ext = extend_with_randomization(helpers.bernoulli_x(), 2)
+    calls = []
+    node_path = FilteredTree.node_path
+    monkeypatch.setattr(FilteredTree, "node_path", lambda tree, n: calls.append(n) or node_path(tree, n))
+    pi = assemble_optimal_coupling(table, a, b)
+    assert check_bicausal(pi).ok
+    assert product_process(pi).tree.size() == 3000
+    assert verify_randomization_independence(ext)
+    assert calls == []

@@ -98,6 +98,10 @@ MALFORMED = {
     "list value": (
         lambda: _chain_doc([["1"], "2"]), DocumentError,
         "value coordinates must be strings or numbers, got list"),
+    "NaN value": (
+        lambda: _chain_doc(["1", "NaN"]), DocumentError, "cannot parse value coordinate 'NaN'"),
+    "nan value": (
+        lambda: _chain_doc(["1", "nan"]), DocumentError, "cannot parse value coordinate 'nan'"),
     "0.5 and 1/2 collide as one label": (
         lambda: _chain_doc(["0.5", "1/2"]), TreeValidationError,
         "node 'a' has two children with value (1/2) and info ''"),
