@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
+from operator import mul
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from .process_model import (
     TreeNode,
     _is_array,
     _is_object,
+    _integers,
     _json_object,
     _memoized,
     _unfold,
@@ -39,7 +41,7 @@ from .process_model import (
     parse_probability,
     path_cost,
 )
-from .transport import NestedDistanceTable
+from .transport import NestedDistanceTable, _compile_paths
 
 __all__ = [
     "PathCoupling",
@@ -108,14 +110,29 @@ class PathCoupling:
 
     def expected_cost(self):
         """Expected path cost under the coupling (the true path metric; in
-        weak mode each path pair is truncated before averaging)."""
-        cfg = self.left.config
-        left = {leaf: self.left.value_path(leaf) for leaf in self.left.leaves()}
-        right = {leaf: self.right.value_path(leaf) for leaf in self.right.leaves()}
-        total = Fraction(0)
-        for (l, r), w in self.weights.items():
-            total += w * path_cost(left[l], right[r], cfg)
-        return total
+        weak mode each path pair is truncated before averaging).
+
+        Both trees' leaf paths are compiled by ``_compile_paths``, as plain
+        transport compiles them, and the weights become ints over D, the
+        lcm of their denominators.  With exact costs each cell is an int
+        over ``L**p`` (weak mode clips it at L) and the total is one
+        ``Fraction``.  At non-integer orders the cells are the float path
+        costs, added as the sum of ``w * path_cost`` adds them.
+        """
+        left, right = self.left, self.right
+        rows_l, rows_r, unit, cost = _compile_paths(
+            left.config,
+            [left.value_path(leaf) for leaf in left.leaves()],
+            [right.value_path(leaf) for leaf in right.leaves()],
+        )
+        row_l, row_r = dict(zip(left.leaves(), rows_l)), dict(zip(right.leaves(), rows_r))
+        cells = [cost(row_l[l], row_r[r]) for l, r in self.weights]
+        weights, scale = _integers(list(self.weights.values()))
+        if unit is None:
+            return sum((w / scale * c for w, c in zip(weights, cells)), 0.0)
+        if left.config.is_weak:
+            cells = [min(c, unit) for c in cells]
+        return Fraction(sum(map(mul, weights, cells)), scale * unit)
 
     def to_document(self) -> dict:
         return {
@@ -471,7 +488,11 @@ def verify_extension(ext: RandomizedExtension) -> bool:
         base_leaf, chain = ext.node_map[leaf]
         key = (base_leaf, _grid_node_id(chain))
         weights[key] = weights.get(key, Fraction(0)) + etree.prob(leaf)
-    joint = PathCoupling(base, grid, weights)
+    try:
+        joint = PathCoupling(base, grid, weights)
+    except TreeValidationError:
+        # the base marginal holds, so the grid marginal is not uniform
+        return False
     return check_causal(joint, "left_to_right").ok
 
 

@@ -184,24 +184,21 @@ def induced_tree(qmap: QuantileMap) -> FilteredTree:
 
 
 def _overlap_laws(law_a, law_b):
-    """Sweep two conditional laws sharing [0,1): yields (atom, atom, length)."""
-    i = j = 0
-    rem_a = law_a[i][1] if law_a else Fraction(0)
-    rem_b = law_b[j][1] if law_b else Fraction(0)
-    while i < len(law_a) and j < len(law_b):
-        lam = min(rem_a, rem_b)
-        if lam > 0:
-            yield law_a[i][0], law_b[j][0], lam
-        rem_a -= lam
-        rem_b -= lam
-        if rem_a == 0:
-            i += 1
-            if i < len(law_a):
-                rem_a = law_a[i][1]
-        if rem_b == 0:
-            j += 1
-            if j < len(law_b):
-                rem_b = law_b[j][1]
+    """Sweep two conditional laws sharing [0,1): yields (atom, atom, length)
+    for each positive overlap, in order (the north-west corner rule)."""
+    rest_b = iter(law_b)
+    y, rem_b = None, 0
+    for x, rem_a in law_a:
+        while rem_a:
+            if not rem_b:
+                y, rem_b = next(rest_b, (None, None))
+                if y is None:
+                    return
+                continue
+            lam = min(rem_a, rem_b)
+            yield x, y, lam
+            rem_a -= lam
+            rem_b -= lam
 
 
 def lp_distance(f: QuantileMap, g: QuantileMap):

@@ -1,22 +1,26 @@
 """Exact optimal transport and the adapted (nested) transport distance.
 
-Every transport problem, flat or nested, is solved by one network simplex
-on integers: ``ot_solve`` scales rational weights and costs by the lcm of
-their denominators, so the pivots compare plain ``int``s and the value is
-one ``Fraction`` at the end.  Pricing scans blocks of rows cyclically, and
+Transport problems are solved by one network simplex on integers:
+``ot_solve`` scales rational weights and costs by the lcm of their
+denominators, so the pivots compare plain ``int``s and the value is one
+``Fraction`` at the end.  Pricing scans blocks of rows cyclically, and
 Cunningham's leaving rule on a strongly feasible basis tree keeps the
 method from cycling without tolerances; each pivot updates the tree only
 on the subtree it moves.  Float costs (non-integer orders) run through the
-same simplex with a small pricing tolerance.  The adapted distance between
-two filtered processes is a backward recursion over pairs of canonical
-atoms, each pair one transport problem between two successor laws.  Its
-table keeps the two canonical forms it was solved on and doubles as the
-certificate from which optimal bicausal couplings are assembled and the
-sampling oracle composes its couplings.
+same simplex with a small pricing tolerance.  Costs are priced on ints
+from one compilation of the value paths (``_compile_paths``).  The adapted
+distance between two filtered processes is a backward recursion over
+pairs of canonical atoms, each pair one transport problem between two
+successor laws; it runs on ints, and in one dimension the problems between
+two terminal laws are solved by the monotone sweep instead of the simplex.
+Its table keeps the two canonical forms it was solved on and doubles as
+the certificate from which optimal bicausal couplings are assembled and
+the sampling oracle composes its couplings.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Sequence
@@ -38,8 +42,8 @@ from .process_model import (
     _integers,
     _postorder,
     law_on_paths,
-    path_cost,
 )
+from .skorokhod import _overlap_laws
 
 __all__ = [
     "TransportPlan",
@@ -350,6 +354,21 @@ def _solve_laws(law_a, law_b, cost_of):
     return value, tuple((atoms_a[i], atoms_b[j], w) for i, j, w in plan.support)
 
 
+def _int_laws(laws):
+    """The weights of all ``laws`` (sequences of (atom, weight) pairs) as
+    ints over one scale D, the lcm of their denominators; returns
+    ``(int_laws, D)``."""
+    ints, scale = _integers([w for law in laws for _, w in law])
+    weights = iter(ints)
+    return [[(x, next(weights)) for x, _ in law] for law in laws], scale
+
+
+def _over(scale: int):
+    """``k -> Fraction(k, scale)``, built once per distinct int k: weights
+    and costs repeat many times within one level."""
+    return functools.cache(lambda k: Fraction(k, scale))
+
+
 def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanceTable]:
     """Adapted transport cost between two filtered processes.
 
@@ -359,6 +378,21 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
     In weak mode the recursion runs on untruncated 1-norm stage costs and
     the final value is clipped at 1, mirroring the truncated path metric at
     the level of totals.
+
+    Both forms are compiled to integers once.  Every value coordinate is an
+    int over one scale L (``_compile_paths``), the time-t law weights of
+    both forms are ints over D_t, the lcm of their denominators, and a
+    level-t cost is an int over S_t = L^p * D_(t+1) * ... * D_N, turned into
+    a ``Fraction`` once per table entry.  Each stage LP is then a positive
+    multiple of the rational one, so ``ot_solve`` makes the same pivots, and
+    plan weights come back as ``Fraction(w, D_t)``.  When d = 1 and both
+    successor laws are terminal, the stage cost is convex in x - y, so the
+    north-west corner of the value-sorted laws is optimal (Villani 2003,
+    *Topics in Optimal Transportation*, ch. 2): ``_overlap_laws`` sweeps it
+    without an LP.  That corner is the simplex's own start, and any pivot
+    from an optimal start is degenerate, so the plan is the same.  At
+    non-integer orders the same loop runs on float costs built from the
+    same ints, bit-identical to ``step_cost``.
     """
     a.config.require_same_shape(b.config, "aw_distance")
     cfg = a.config
@@ -367,23 +401,61 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
     levels_a = form_a.levels()
     levels_b = form_b.levels()
     n = cfg.num_steps
-    tables: list[dict] = [dict() for _ in range(n)]
-    for t in range(n, 0, -1):
-        table = tables[t - 1]
-        below = tables[t] if t < n else None
-        for alpha in levels_a[t - 1]:
-            for beta in levels_b[t - 1]:
-                stage = cfg.step_cost(alpha.value, beta.value)
-                if t == n:
-                    table[(alpha, beta)] = StageEntry(cost=stage, plan=None)
-                    continue
-                value, plan = _solve_laws(
-                    alpha.law, beta.law, lambda x, y: below[(x, y)].cost
-                )
-                table[(alpha, beta)] = StageEntry(cost=stage + value, plan=plan)
-    value, plan = _solve_laws(
-        form_a.law, form_b.law, lambda x, y: tables[0][(x, y)].cost
+    atoms_a = [x for level in levels_a for x in level]
+    atoms_b = [y for level in levels_b for y in level]
+    rows_a, rows_b, unit, step_cost = _compile_paths(
+        cfg, [(x.value,) for x in atoms_a], [(y.value,) for y in atoms_b]
     )
+    # an atom in both forms gets one row: both sides share the scale L
+    row_of = dict(zip(atoms_a, rows_a)) | dict(zip(atoms_b, rows_b))
+    exact = unit is not None
+    sweep = cfg.dim == 1
+    below = None  # costs of the time t+1 pairs: ints over S_(t+1), or floats
+
+    def solve(law_x, law_y, d, terminal):
+        """Plan between two laws of ints over ``d``, with weights as ints,
+        and its cost under ``below``."""
+        if terminal and sweep:
+            plan = list(_overlap_laws(law_x, law_y))
+        else:
+            _, lp = _solve_laws(law_x, law_y, lambda x, y: below[x, y])
+            plan = [(x, y, w.numerator) for x, y, w in lp]
+        return sum(below[x, y] * (w if exact else w / d) for x, y, w in plan), plan
+
+    tables: list[dict] = [dict() for _ in range(n)]
+    scale = 1  # S_t / L^p with exact costs
+    for t in range(n, 0, -1):
+        level_a, level_b = levels_a[t - 1], levels_b[t - 1]
+        terminal = t == n - 1
+        if t < n:
+            laws, d = _int_laws([x.law for x in (*level_a, *level_b)])
+            laws_a, laws_b = laws[:len(level_a)], laws[len(level_a):]
+            # canonical order is value order at the last level: the sweep needs it
+            assert not (terminal and sweep) or all(
+                row_of[x] < row_of[y] for law in laws for (x, _), (y, _) in zip(law, law[1:])
+            )
+            if exact:
+                scale *= d
+            as_weight = _over(d)
+        as_cost = _over(unit * scale) if exact else None
+        costs, entries = {}, tables[t - 1]
+        for i, alpha in enumerate(level_a):
+            x = row_of[alpha]
+            for j, beta in enumerate(level_b):
+                cost = step_cost(x, row_of[beta]) * scale
+                plan = None
+                if t < n:
+                    value, plan = solve(laws_a[i], laws_b[j], d, terminal)
+                    cost += value
+                    plan = tuple((u, v, as_weight(w)) for u, v, w in plan)
+                costs[alpha, beta] = cost
+                entries[alpha, beta] = StageEntry(cost=as_cost(cost) if exact else cost, plan=plan)
+        below = costs
+    (law_a, law_b), d = _int_laws([form_a.law, form_b.law])
+    value, plan = solve(law_a, law_b, d, False)
+    plan = tuple((u, v, Fraction(w, d)) for u, v, w in plan)
+    if exact:
+        value = Fraction(value, unit * scale * d)
     truncated = False
     if cfg.is_weak and value > 1:
         value = Fraction(1)
@@ -414,37 +486,62 @@ def wasserstein_paths(a: FilteredTree, b: FilteredTree):
     return value
 
 
+def _compile_paths(cfg: MetricConfig, paths_a, paths_b):
+    """Value paths of two sides compiled for pricing.
+
+    Every coordinate of both sides goes through one ``_integers`` call, with
+    scale L, and each path (a sequence of points of ``cfg.dim`` coordinates)
+    becomes one flat list of ints.  Returns ``(rows_a, rows_b, unit,
+    cost)``.  With exact costs, ``cost(x, y)`` is the int sum of
+    ``|s - t|**p`` over the coordinates of two rows (p = 1 in weak mode, no
+    clipping), which is ``unit = L**p`` times the summed ``step_cost``.
+    Otherwise ``unit`` is None and ``cost`` is the float sum of
+    ``abs(d / L) ** p`` grouped step by step as ``path_cost`` groups it.
+    Int true division is correctly rounded, so each term equals
+    ``abs(float(s - t)) ** p`` and the sum is bit-identical.
+    """
+    paths = (*paths_a, *paths_b)
+    coords = [c for path in paths for point in path for c in point]
+    ints, scale = _integers(coords)
+    if scale is None:  # float coordinates of a tree built in code: take their exact values
+        ints, scale = _integers([Fraction(c) for c in coords])
+    width = len(ints) // len(paths) if paths else 1
+    rows = [ints[k:k + width] for k in range(0, len(ints), width)]
+    if cfg.exact_costs:
+        p = 1 if cfg.is_weak else cfg.order.numerator
+        if p == 1:
+            def cost(x, y):
+                return sum(map(abs, map(sub, x, y)))
+        else:
+            def cost(x, y):
+                return sum(abs(d) ** p for d in map(sub, x, y))
+        unit = scale**p
+    else:
+        p, dim, unit = float(cfg.order), cfg.dim, None
+
+        def cost(x, y):
+            terms = [abs(d / scale) ** p for d in map(sub, x, y)]
+            return sum(sum(terms[k:k + dim]) for k in range(0, len(terms), dim))
+    return rows[:len(paths_a)], rows[len(paths_a):], unit, cost
+
+
 def _plain_transport(law_a, law_b, cfg: MetricConfig):
     """``(value, plan)`` of optimal transport between two path laws under
     ``path_cost``.
 
-    With exact costs, every coordinate of both laws is compiled to integers
-    at once by ``_integers``, with scale L.  Each cell is then the int sum of
-    ``|s - t|**p`` over the flattened coordinates; weak mode takes p = 1 and
-    clips the cell at L.  That matrix is ``L**p`` times the ``path_cost``
-    matrix, so ``ot_solve`` makes the same pivots and returns the same plan,
-    and the value is divided by ``L**p`` once.  Non-integer orders build
-    the float ``path_cost`` matrix.
+    Both laws' paths are compiled by ``_compile_paths``.  With exact costs
+    each cell is an int, weak mode clips it at L, and the matrix is ``L**p``
+    times the ``path_cost`` matrix, so ``ot_solve`` makes the same pivots
+    and returns the same plan; the value is divided by ``L**p`` once.  At
+    non-integer orders the float matrix is bit-identical to the
+    ``path_cost`` one.
     """
-    scale = None
-    if cfg.exact_costs:
-        paths = (*law_a.atoms, *law_b.atoms)
-        ints, scale = _integers([c for path in paths for point in path for c in point])
-    if scale is None:
-        cost = [[path_cost(x, y, cfg) for y in law_b.atoms] for x in law_a.atoms]
-        return ot_solve(law_a.weights, law_b.weights, cost)
-    width = cfg.num_steps * cfg.dim
-    rows = [ints[k:k + width] for k in range(0, len(ints), width)]
-    rows_a, rows_b = rows[:len(law_a.atoms)], rows[len(law_a.atoms):]
-    p = 1 if cfg.is_weak else cfg.order.numerator
-    if p == 1:
-        cost = [[sum(map(abs, map(sub, x, y))) for y in rows_b] for x in rows_a]
-    else:
-        cost = [[sum(abs(d) ** p for d in map(sub, x, y)) for y in rows_b] for x in rows_a]
+    rows_a, rows_b, unit, cost = _compile_paths(cfg, law_a.atoms, law_b.atoms)
+    matrix = [[cost(x, y) for y in rows_b] for x in rows_a]
     if cfg.is_weak:
-        cost = [[min(c, scale) for c in row] for row in cost]
-    value, plan = ot_solve(law_a.weights, law_b.weights, cost)
-    return value / scale**p, plan
+        matrix = [[min(c, unit) for c in row] for row in matrix]
+    value, plan = ot_solve(law_a.weights, law_b.weights, matrix)
+    return (value if unit is None else value / unit), plan
 
 
 # -- compositional coupling oracle ----------------------------------------------

@@ -13,7 +13,14 @@ import math
 import random
 from fractions import Fraction as F
 
-from adt import FilteredTree, MetricConfig, TreeNode, non_coexistence_fixture
+from adt import (
+    FilteredTree,
+    MetricConfig,
+    TreeNode,
+    information_process,
+    non_coexistence_fixture,
+    ot_solve,
+)
 
 
 def cfg(n=2, d=1, p=1, decimals=12) -> MetricConfig:
@@ -247,6 +254,44 @@ def random_pair(rng: random.Random, p=1, d: int = 1, n: int | None = None):
         random_tree(rng, n=n, d=d, p=p),
         random_tree(rng, n=n, d=d, p=p),
     )
+
+
+def reference_aw(a: FilteredTree, b: FilteredTree):
+    """Reference adapted distance: the backward recursion on ``Fraction``s
+    (floats at non-integer orders), with stage costs from ``step_cost`` and
+    one ``ot_solve`` per atom pair, the root and terminal stages included.
+
+    Returns ``(value, levels, root_plan, truncated)``; ``levels[t-1]`` maps
+    each pair of time-t atoms to ``(cost, plan)``, plans as (atom, atom,
+    weight) triples as ``StageEntry`` keeps them.
+    """
+    cfg = a.config
+    form_a, form_b = information_process(a).form, information_process(b).form
+    levels_a, levels_b = form_a.levels(), form_b.levels()
+    n = cfg.num_steps
+    levels: list = [{} for _ in range(n)]
+
+    def solve(law_a, law_b, below):
+        xs, ys = [x for x, _ in law_a], [y for y, _ in law_b]
+        value, plan = ot_solve(
+            [w for _, w in law_a],
+            [w for _, w in law_b],
+            [[below[x, y][0] for y in ys] for x in xs],
+        )
+        return value, tuple((xs[i], ys[j], w) for i, j, w in plan.support)
+
+    for t in range(n, 0, -1):
+        for alpha in levels_a[t - 1]:
+            for beta in levels_b[t - 1]:
+                stage = cfg.step_cost(alpha.value, beta.value)
+                if t == n:
+                    levels[t - 1][alpha, beta] = (stage, None)
+                else:
+                    value, plan = solve(alpha.law, beta.law, levels[t])
+                    levels[t - 1][alpha, beta] = (stage + value, plan)
+    value, plan = solve(form_a.law, form_b.law, levels[0])
+    truncated = cfg.is_weak and value > 1
+    return (F(1) if truncated else value), levels, plan, truncated
 
 
 REGRESSION_EPS = (F(1, 10), F(1, 100))

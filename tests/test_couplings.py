@@ -29,6 +29,7 @@ from adt import (
     is_self_aware,
     load_coupling,
     pair_path_cost,
+    path_cost,
     product_process,
     project_product,
     transfer,
@@ -134,6 +135,28 @@ class TestPathCoupling:
             ("a-", "a-"),
         ]
         assert pi.expected_cost() == 0
+
+    @pytest.mark.parametrize("p", [1, 2, 3, F(3, 2), 0], ids=["1", "2", "3", "3/2", "weak"])
+    def test_expected_cost_is_the_sum_of_weighted_path_costs(self, p):
+        rng = random.Random(f"expected-{p}")
+        couplings = []
+        for k in range(8):
+            a, b = helpers.random_pair(rng, p=p, d=1 + k % 2)
+            couplings += [assemble_optimal_coupling(aw_distance(a, b)[1], a, b), product_coupling(a, b)]
+        if p == 0:
+            # the crossed pairs cost 21/10 before the clip at 1
+            couplings.append(product_coupling(helpers.bernoulli_x(p=0), helpers.y_eps(F(1, 10), p=0)))
+        clipped = 0
+        for pi in couplings:
+            cfg = pi.left.config
+            total = F(0)
+            for (l, r), w in pi.weights.items():
+                x, y = pi.left.value_path(l), pi.right.value_path(r)
+                total += w * path_cost(x, y, cfg)
+                clipped += cfg.is_weak and sum(map(cfg.step_cost, x, y)) > 1
+            cost = pi.expected_cost()
+            assert type(cost) is type(total) and cost == total  # floats bit for bit
+        assert clipped > 0 or p != 0
 
     def test_rejects_wrong_marginal(self):
         x = helpers.bernoulli_x()
@@ -360,6 +383,28 @@ class TestRandomizedExtension:
         leaning = RandomizedExtension(ext.base, ext.m, tree, ext.node_map)
         assert hk_equivalent(leaning.tree, ext.base)
         assert not verify_randomization_independence(leaning)
+
+    def test_skewed_digit_law_is_no_extension(self):
+        # each extension splits one base edge's copies unequally: the base
+        # marginal holds, the digit law does not
+        rng = random.Random(71)
+        for _ in range(12):
+            for base in helpers.random_pair(rng):
+                ext = extend_with_randomization(base, 3)
+                nodes = {n.node_id: n for n in ext.tree.nodes()}
+                node = rng.choice([n for n in nodes.values() if n.children])
+                k = 3 * rng.randrange(len(node.children) // 3)
+                group = node.children[k:k + 3]
+                mass = sum(q for _, q in group)
+                shares = [1, 2, rng.randint(1, 4)]
+                rng.shuffle(shares)
+                skewed = tuple((c, mass * s / sum(shares)) for (c, _), s in zip(group, shares))
+                children = node.children[:k] + skewed + node.children[k + 3:]
+                nodes[node.node_id] = replace(node, children=children)
+                tree = FilteredTree(ext.tree.config, nodes, ext.tree.root_children)
+                skew = RandomizedExtension(base, 3, tree, ext.node_map)
+                assert not verify_randomization_independence(skew)
+                assert verify_extension(skew) is False
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(SolverError):

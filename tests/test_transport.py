@@ -26,7 +26,7 @@ from adt import (
     random_bicausal_cost,
     wasserstein_paths,
 )
-from adt.transport import _plain_transport
+from adt.transport import _compile_paths, _overlap_laws, _plain_transport
 
 
 def enumerate_feasible_vertices(mu, nu):
@@ -370,11 +370,18 @@ class TestPlainTransport:
         assert _plain_transport(law_x, law_y, x.config) == (value, plan)
 
     def test_non_integer_order_keeps_the_float_build(self):
-        a, b = helpers.random_pair(random.Random(32), p=F(3, 2), d=2)
-        law_a, law_b, _, (value, plan) = path_cost_transport(a, b)
-        assert isinstance(value, float)
-        assert wasserstein_paths(a, b) == value  # bit for bit
-        assert _plain_transport(law_a, law_b, a.config) == (value, plan)
+        # the float matrix comes from the compiled ints, step sums grouped
+        # as path_cost groups them, so d = 2 is bit-identical too
+        rng = random.Random(32)
+        for d in (1, 2):
+            for _ in range(10):
+                a, b = helpers.random_pair(rng, p=F(3, 2), d=d)
+                law_a, law_b, matrix, (value, plan) = path_cost_transport(a, b)
+                rows_a, rows_b, _, cost = _compile_paths(a.config, law_a.atoms, law_b.atoms)
+                assert [[cost(x, y) for y in rows_b] for x in rows_a] == matrix  # bit for bit
+                assert isinstance(value, float)
+                assert wasserstein_paths(a, b) == value
+                assert _plain_transport(law_a, law_b, a.config) == (value, plan)
 
 
 class TestAdaptedDistance:
@@ -482,6 +489,54 @@ class TestAdaptedDistance:
 
         with pytest.raises(ConfigMismatchError):
             aw_distance(helpers.bernoulli_x(), helpers.chain_tree([0, 1, 2]))
+
+
+class TestIntegerRecursion:
+    """The table, solved on ints with terminal sweeps, against the
+    ``Fraction`` recursion of ``helpers.reference_aw``."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3, F(3, 2), 0], ids=["1", "2", "3", "3/2", "weak"])
+    def test_table_matches_the_reference_recursion(self, p, d):
+        rng = random.Random(f"table-{p}-{d}")
+        for _ in range(10):
+            a, b = helpers.random_pair(rng, p=p, d=d)
+            value, table = aw_distance(a, b)
+            ref_value, ref_levels, ref_plan, truncated = helpers.reference_aw(a, b)
+            # floats bit for bit, Fractions exact; the type is part of the output
+            assert type(value) is type(ref_value) and value == ref_value
+            assert table.root_value == value and table.truncated == truncated
+            assert table.root_plan == ref_plan
+            for level, ref_level in zip(table.levels, ref_levels, strict=True):
+                assert level.keys() == ref_level.keys()
+                for pair, entry in level.items():
+                    cost, plan = ref_level[pair]
+                    assert type(entry.cost) is type(cost) and entry.cost == cost
+                    assert entry.plan == plan
+
+    def test_terminal_sweep_is_the_simplex_plan_under_ties(self):
+        # values from a short lattice make many |x - y| ties at p = 1
+        rng = random.Random(41)
+        for _ in range(300):
+            xs = sorted(rng.sample(range(6), rng.randint(1, 5)))
+            ys = sorted(rng.sample(range(6), rng.randint(1, 5)))
+            mu = [rng.randint(1, 4) for _ in xs]
+            nu = [rng.randint(1, 4) for _ in ys]
+            mu, nu = [F(w, sum(mu)) for w in mu], [F(w, sum(nu)) for w in nu]
+            _, plan = ot_solve(mu, nu, [[abs(x - y) for y in ys] for x in xs])
+            swept = _overlap_laws(list(enumerate(mu)), list(enumerate(nu)))
+            assert list(swept) == list(plan.support)
+
+    @pytest.mark.parametrize("d, lp_levels", [(1, 1), (2, 2)])
+    def test_terminal_stages_run_no_lp_in_one_dimension(self, monkeypatch, d, lp_levels):
+        from adt import transport
+
+        calls = []
+        monkeypatch.setattr(transport, "ot_solve", lambda *args: calls.append(1) or ot_solve(*args))
+        a, b = helpers.random_pair(random.Random(5), d=d, n=3)
+        _, table = aw_distance(a, b)
+        # one LP per atom pair of each solved level, and one for the root
+        assert len(calls) == sum(map(len, table.levels[:lp_levels])) + 1
 
 
 class TestWeakMode:
