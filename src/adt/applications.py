@@ -17,6 +17,8 @@ from fractions import Fraction
 
 from .errors import ConfigMismatchError, ExpressionError, SolverError
 from .process_model import FilteredTree
+from .skorokhod import _to_zero
+from .transport import aw_distance
 
 __all__ = [
     "PayoffSpec",
@@ -294,8 +296,6 @@ def stopping_stability_report(
     A false verdict with a genuinely L-Lipschitz payoff is a library defect,
     never an acceptable outcome.
     """
-    from .transport import aw_distance
-
     a.config.require_same_shape(b.config, "stopping_stability_report")
     if a.config.order != 1:
         raise ConfigMismatchError(
@@ -411,9 +411,6 @@ def doob_stability_report(
     """Qualitative stability of the decomposition: when the adapted distance
     to the limit vanishes along the family, so does the adapted distance of
     the drift-decorated processes."""
-    from .skorokhod import _to_zero
-    from .transport import aw_distance
-
     if not sequence:
         raise SolverError("doob stability report needs a nonempty sequence")
     cfg = limit.config

@@ -18,7 +18,7 @@ from operator import mul
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .canonical import NestedAtom, _mapped_atoms, information_process
+from .canonical import NestedAtom, _mapped_atoms, information_process, self_aware_lift
 from .errors import (
     ConfigMismatchError,
     DocumentError,
@@ -518,8 +518,6 @@ def _grid_node_id(chain: tuple[int, ...]) -> str:
 def verify_randomization_independence(ext: RandomizedExtension) -> bool:
     """Check that each digit is uniform and exactly independent of the
     decorated base path together with the strictly earlier extension atoms."""
-    from .canonical import self_aware_lift
-
     etree = ext.tree
     lift = self_aware_lift(ext.base)
     lift_path: dict[str | None, tuple] = {None: ()}

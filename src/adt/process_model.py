@@ -371,6 +371,11 @@ class FilteredTree:
                     f"node {node_id!r} has a {len(node.value)}-dimensional value, expected {cfg.dim}",
                     node_id,
                 )
+            for c in node.value:
+                if type(c) is not Fraction and not isinstance(c, Rational):
+                    raise TreeValidationError(
+                        f"node {node_id!r} has value coordinate {c!r}; it must be rational", node_id
+                    )
             if node.is_leaf != (node.time == cfg.num_steps):
                 raise TreeValidationError(
                     f"node {node_id!r} at time {node.time} "
@@ -415,6 +420,10 @@ class FilteredTree:
                 raise TreeValidationError(
                     f"{owner} at time {time} has child {cid!r} at time {child.time}",
                     cid,
+                )
+            if type(prob) is not Fraction and not isinstance(prob, Rational):
+                raise TreeValidationError(
+                    f"{owner} carries probability {prob!r} on child {cid!r}; it must be rational", cid
                 )
             if prob <= 0:
                 raise TreeValidationError(

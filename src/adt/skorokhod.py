@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import CanonicalForm, NestedAtom, information_process
+from .couplings import assemble_optimal_coupling, pair_path_cost, product_process
 from .errors import SolverError
 from .process_model import (
     DiscreteMeasure,
@@ -27,6 +28,8 @@ from .process_model import (
     law_on_paths,
     path_distance,
 )
+from . import transport  # aw_distance is looked up when called, so a wrapper set on it sees the calls
+from .transport import _compile_forms, _composer, _overlap_laws, _plain_transport
 
 __all__ = [
     "QuantileCell",
@@ -183,43 +186,24 @@ def induced_tree(qmap: QuantileMap) -> FilteredTree:
 # -- exact L^p distance between representations --------------------------------
 
 
-def _overlap_laws(law_a, law_b):
-    """Sweep two conditional laws sharing [0,1): yields (atom, atom, length)
-    for each positive overlap, in order (the north-west corner rule)."""
-    rest_b = iter(law_b)
-    y, rem_b = None, 0
-    for x, rem_a in law_a:
-        while rem_a:
-            if not rem_b:
-                y, rem_b = next(rest_b, (None, None))
-                if y is None:
-                    return
-                continue
-            lam = min(rem_a, rem_b)
-            yield x, y, lam
-            rem_a -= lam
-            rem_b -= lam
-
-
 def lp_distance(f: QuantileMap, g: QuantileMap):
     """Exact integral of the path cost between two quantile representations
     over the unit cube (p-th power of the L^p gap; for weak mode, the
     integral of the truncated distance).
 
-    Computed on the common refinement of the two interval systems; the
-    shared uniform coordinates couple the processes stage by stage.
+    The shared uniform coordinates couple the two successor laws of every
+    stage on [0,1): the north-west corner coupling in canonical order,
+    composed stage by stage on the compiled ints (``_composer``).  In weak
+    mode the truncation depends on the cost so far, so the pair paths are
+    walked with their box volumes instead.
     """
     f.config.require_same_shape(g.config, "lp_distance")
     cfg = f.config
-    top_f = [(cell.atom, cell.length) for cell in f.cells]
-    top_g = [(cell.atom, cell.length) for cell in g.cells]
 
     if cfg.is_weak:
-        # the truncation depends on the cost so far, so walk the pair chains
-        # level by level, each with its box volume; exact arithmetic makes
-        # the order of the sum immaterial
+        # level by level, each pair chain with its box volume, on Fractions
         total = Fraction(0)
-        level = [(a, b, lam, Fraction(0)) for a, b, lam in _overlap_laws(top_f, top_g)]
+        level = [(a, b, lam, Fraction(0)) for a, b, lam in _overlap_laws(f.form.law, g.form.law)]
         while level:
             nxt = []
             for a, b, volume, acc in level:
@@ -233,22 +217,10 @@ def lp_distance(f: QuantileMap, g: QuantileMap):
             level = nxt
         return total
 
-    def overlaps(law_a, law_b):
-        return [((ca, cb), lam) for ca, cb, lam in _overlap_laws(law_a, law_b)]
-
-    # memoized over the reachable pairs only, children before parents
-    costs: dict[tuple[NestedAtom, NestedAtom], object] = {}
-    top = overlaps(top_f, top_g)
-    pairs = _postorder(top, lambda pair: overlaps(pair[0].law, pair[1].law))
-    for (a, b), edges in pairs:
-        total = cfg.step_cost(a.value, b.value)
-        for child, lam in edges:
-            total = total + lam * costs[child]
-        costs[(a, b)] = total
-    total = Fraction(0) if cfg.exact_costs else 0.0
-    for pair, lam in top:
-        total = total + lam * costs[pair]
-    return total
+    comp = _compile_forms(cfg, f.form, g.form)
+    return _composer(comp)(
+        lambda pair: [((u, v), w) for u, v, w in _overlap_laws(comp.wide[pair[0]], comp.wide[pair[1]])]
+    )
 
 
 def max_pointwise_gap(f: QuantileMap, g: QuantileMap):
@@ -293,10 +265,7 @@ def lp_representation_on_common_basis(a: FilteredTree, b: FilteredTree):
     Returns (product, cost) with cost the exact expected path cost of the
     pair — equal to the adapted transport value for orders p >= 1.
     """
-    from .couplings import assemble_optimal_coupling, pair_path_cost, product_process
-    from .transport import aw_distance
-
-    _, table = aw_distance(a, b)
+    _, table = transport.aw_distance(a, b)
     coupling = assemble_optimal_coupling(table, a, b)
     product = product_process(coupling)
     cost = pair_path_cost(product.tree, a.config.dim)
@@ -344,8 +313,6 @@ def convergence_report(sequence: Sequence[FilteredTree], limit: FilteredTree) ->
     Flags whether the adapted and L^p columns decrease to zero together;
     they must, on families where either does.
     """
-    from .transport import aw_distance
-
     if not sequence:
         raise SolverError("convergence report needs a nonempty sequence")
     cfg = limit.config
@@ -353,7 +320,7 @@ def convergence_report(sequence: Sequence[FilteredTree], limit: FilteredTree) ->
     rows = []
     for k, tree in enumerate(sequence, start=1):
         tree.config.require_same_shape(cfg, "convergence_report")
-        value, _ = aw_distance(tree, limit)
+        value, _ = transport.aw_distance(tree, limit)
         q_tree = quantile_map(tree)
         lp = lp_distance(q_tree, q_limit)
         gap, _ = max_pointwise_gap(q_tree, q_limit)
@@ -503,8 +470,6 @@ def non_coexistence_fixture(n: int, k: int) -> FixtureResult:
     ot_value = None
     ot_plan_diagonal = None
     if k <= 80:
-        from .transport import _plain_transport
-
         mu = law_on_paths(process)
         nu = law_on_paths(limit)
         # every plan pays the same total flip and only the diagonal moves nothing

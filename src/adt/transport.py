@@ -13,9 +13,10 @@ distance between two filtered processes is a backward recursion over
 pairs of canonical atoms, each pair one transport problem between two
 successor laws; it runs on ints, and in one dimension the problems between
 two terminal laws are solved by the monotone sweep instead of the simplex.
-Its table keeps the two canonical forms it was solved on and doubles as
-the certificate from which optimal bicausal couplings are assembled and
-the sampling oracle composes its couplings.
+Both forms are compiled to integers once (``_compile_forms``); the table
+keeps them, and is the certificate optimal couplings are assembled from.
+One walk (``_composer``) prices couplings composed stage by stage: the
+sampling oracle's and the quantile L^p distance's (north-west) ones.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
+from itertools import accumulate
+from operator import mul, sub
 
 from .canonical import (
     CanonicalForm,
@@ -43,7 +45,6 @@ from .process_model import (
     _postorder,
     law_on_paths,
 )
-from .skorokhod import _overlap_laws
 
 __all__ = [
     "TransportPlan",
@@ -306,7 +307,8 @@ class NestedDistanceTable:
     ``left`` and ``right`` are the canonical forms the table was solved on;
     ``levels[t-1]`` maps pairs of their time-t atoms to StageEntry and
     ``root_plan`` couples their laws.  ``truncated`` marks the weak-mode
-    case where the reported value was clipped at 1.
+    case where the reported value was clipped at 1.  ``compiled`` is the
+    integer compilation of the two forms that the table was solved on.
     """
 
     config: MetricConfig
@@ -316,6 +318,7 @@ class NestedDistanceTable:
     root_value: object
     root_plan: tuple[tuple[NestedAtom, NestedAtom, Fraction], ...]
     truncated: bool
+    compiled: "_CompiledForms" = field(compare=False, repr=False)
 
     def entry(self, time: int, left: NestedAtom, right: NestedAtom) -> StageEntry:
         return self.levels[time - 1][(left, right)]
@@ -354,13 +357,66 @@ def _solve_laws(law_a, law_b, cost_of):
     return value, tuple((atoms_a[i], atoms_b[j], w) for i, j, w in plan.support)
 
 
-def _int_laws(laws):
-    """The weights of all ``laws`` (sequences of (atom, weight) pairs) as
-    ints over one scale D, the lcm of their denominators; returns
-    ``(int_laws, D)``."""
-    ints, scale = _integers([w for law in laws for _, w in law])
-    weights = iter(ints)
-    return [[(x, next(weights)) for x, _ in law] for law in laws], scale
+def _overlap_laws(law_a, law_b):
+    """Sweep two conditional laws sharing [0,1): yields (atom, atom, length)
+    for each positive overlap, in order (the north-west corner rule)."""
+    rest_b = iter(law_b)
+    y, rem_b = None, 0
+    for x, rem_a in law_a:
+        while rem_a:
+            if not rem_b:
+                y, rem_b = next(rest_b, (None, None))
+                if y is None:
+                    return
+                continue
+            lam = min(rem_a, rem_b)
+            yield x, y, lam
+            rem_a -= lam
+            rem_b -= lam
+
+
+@dataclass(frozen=True)
+class _CompiledForms:
+    """Two canonical forms compiled to integers by ``_compile_forms``.
+
+    ``roots`` are two zero-valued time-0 atoms whose laws are the forms'
+    laws; they are never interned.  ``rows[x]`` is the value of atom x as
+    ints over one scale L, priced by ``step_cost`` (see ``_compile_paths``).
+    ``laws[x]`` is x's successor law as ints over ``scales[t]`` = D_t,
+    t = ``level[x]`` (D_N = 1), and ``wide[x]`` is the same law as ints
+    over D_t^2.  ``products[t]`` is D_t * ... * D_N.
+    """
+
+    roots: tuple[NestedAtom, NestedAtom]
+    rows: dict
+    unit: int | None
+    step_cost: Callable
+    level: dict
+    laws: dict
+    wide: dict
+    scales: tuple[int, ...]
+    products: tuple[int, ...]
+
+
+def _compile_forms(cfg: MetricConfig, form_a: CanonicalForm, form_b: CanonicalForm) -> _CompiledForms:
+    """The one integer compilation of a pair of canonical forms.  D_t is
+    the lcm of the law denominators of the time-t atoms of both forms."""
+    roots = tuple(NestedAtom((0,) * cfg.dim, form.law, 0) for form in (form_a, form_b))
+    levels = [roots] + [la + lb for la, lb in zip(form_a.levels(), form_b.levels())]
+    atoms = [x for level in levels for x in level]
+    rows, _, unit, step_cost = _compile_paths(cfg, [(x.value,) for x in atoms], ())
+    rows = dict(zip(atoms, rows))
+    level_of, laws, wide, scales = {}, {}, {}, []
+    for t, level in enumerate(levels):
+        ints, d = _integers([w for x in level for _, w in x.law])
+        weights = iter(ints)
+        for x in level:
+            level_of[x] = t
+            laws[x] = law = [(u, next(weights)) for u, _ in x.law]
+            wide[x] = [(u, w * d) for u, w in law]
+        scales.append(d)  # 1 for the terminal atoms, which have no laws
+    products = tuple(accumulate(reversed(scales), mul))[::-1]
+    return _CompiledForms(roots, rows, unit, step_cost, level_of, laws, wide, tuple(scales), products)
 
 
 def _over(scale: int):
@@ -379,35 +435,29 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
     the final value is clipped at 1, mirroring the truncated path metric at
     the level of totals.
 
-    Both forms are compiled to integers once.  Every value coordinate is an
-    int over one scale L (``_compile_paths``), the time-t law weights of
-    both forms are ints over D_t, the lcm of their denominators, and a
-    level-t cost is an int over S_t = L^p * D_(t+1) * ... * D_N, turned into
-    a ``Fraction`` once per table entry.  Each stage LP is then a positive
-    multiple of the rational one, so ``ot_solve`` makes the same pivots, and
-    plan weights come back as ``Fraction(w, D_t)``.  When d = 1 and both
-    successor laws are terminal, the stage cost is convex in x - y, so the
-    north-west corner of the value-sorted laws is optimal (Villani 2003,
-    *Topics in Optimal Transportation*, ch. 2): ``_overlap_laws`` sweeps it
-    without an LP.  That corner is the simplex's own start, and any pivot
-    from an optimal start is degenerate, so the plan is the same.  At
-    non-integer orders the same loop runs on float costs built from the
-    same ints, bit-identical to ``step_cost``.
+    Both forms are compiled to integers once (``_compile_forms``), and the
+    table keeps the compilation.  Every value coordinate is an int over one
+    scale L, the successor-law weights of the time-t atoms are ints over
+    D_t, and a level-t cost is an int over S_t = L^p * D_t * ... * D_(N-1),
+    turned into a ``Fraction`` once per table entry.  Each stage LP is then
+    a positive multiple of the rational one, so ``ot_solve`` makes the same
+    pivots, and plan weights come back as ``Fraction(w, D_t)``.  When d = 1
+    and both successor laws are terminal, the stage cost is convex in
+    x - y, so the north-west corner of the value-sorted laws is optimal
+    (Villani 2003, *Topics in Optimal Transportation*, ch. 2):
+    ``_overlap_laws`` sweeps it without an LP.  That corner is the
+    simplex's own start, and any pivot from an optimal start is degenerate,
+    so the plan is the same.  At non-integer orders the same loop runs on
+    float costs built from the same ints, bit-identical to ``step_cost``.
     """
     a.config.require_same_shape(b.config, "aw_distance")
     cfg = a.config
     form_a = information_process(a).form
     form_b = information_process(b).form
-    levels_a = form_a.levels()
-    levels_b = form_b.levels()
+    levels_a, levels_b = form_a.levels(), form_b.levels()
     n = cfg.num_steps
-    atoms_a = [x for level in levels_a for x in level]
-    atoms_b = [y for level in levels_b for y in level]
-    rows_a, rows_b, unit, step_cost = _compile_paths(
-        cfg, [(x.value,) for x in atoms_a], [(y.value,) for y in atoms_b]
-    )
-    # an atom in both forms gets one row: both sides share the scale L
-    row_of = dict(zip(atoms_a, rows_a)) | dict(zip(atoms_b, rows_b))
+    comp = _compile_forms(cfg, form_a, form_b)
+    rows, laws, unit, step_cost = comp.rows, comp.laws, comp.unit, comp.step_cost
     exact = unit is not None
     sweep = cfg.dim == 1
     below = None  # costs of the time t+1 pairs: ints over S_(t+1), or floats
@@ -423,39 +473,36 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
         return sum(below[x, y] * (w if exact else w / d) for x, y, w in plan), plan
 
     tables: list[dict] = [dict() for _ in range(n)]
-    scale = 1  # S_t / L^p with exact costs
     for t in range(n, 0, -1):
         level_a, level_b = levels_a[t - 1], levels_b[t - 1]
         terminal = t == n - 1
+        scale = comp.products[t] if exact else 1  # S_t / L^p
         if t < n:
-            laws, d = _int_laws([x.law for x in (*level_a, *level_b)])
-            laws_a, laws_b = laws[:len(level_a)], laws[len(level_a):]
+            d = comp.scales[t]
             # canonical order is value order at the last level: the sweep needs it
             assert not (terminal and sweep) or all(
-                row_of[x] < row_of[y] for law in laws for (x, _), (y, _) in zip(law, law[1:])
+                rows[x] < rows[y] for z in (*level_a, *level_b) for (x, _), (y, _) in zip(z.law, z.law[1:])
             )
-            if exact:
-                scale *= d
             as_weight = _over(d)
         as_cost = _over(unit * scale) if exact else None
         costs, entries = {}, tables[t - 1]
-        for i, alpha in enumerate(level_a):
-            x = row_of[alpha]
-            for j, beta in enumerate(level_b):
-                cost = step_cost(x, row_of[beta]) * scale
+        for alpha in level_a:
+            x = rows[alpha]
+            for beta in level_b:
+                cost = step_cost(x, rows[beta]) * scale
                 plan = None
                 if t < n:
-                    value, plan = solve(laws_a[i], laws_b[j], d, terminal)
+                    value, plan = solve(laws[alpha], laws[beta], d, terminal)
                     cost += value
                     plan = tuple((u, v, as_weight(w)) for u, v, w in plan)
                 costs[alpha, beta] = cost
                 entries[alpha, beta] = StageEntry(cost=as_cost(cost) if exact else cost, plan=plan)
         below = costs
-    (law_a, law_b), d = _int_laws([form_a.law, form_b.law])
-    value, plan = solve(law_a, law_b, d, False)
+    d = comp.scales[0]
+    value, plan = solve(*(laws[x] for x in comp.roots), d, False)
     plan = tuple((u, v, Fraction(w, d)) for u, v, w in plan)
     if exact:
-        value = Fraction(value, unit * scale * d)
+        value = Fraction(value, unit * comp.products[0])
     truncated = False
     if cfg.is_weak and value > 1:
         value = Fraction(1)
@@ -468,6 +515,7 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
         root_value=value,
         root_plan=plan,
         truncated=truncated,
+        compiled=comp,
     )
     return value, table
 
@@ -503,8 +551,6 @@ def _compile_paths(cfg: MetricConfig, paths_a, paths_b):
     paths = (*paths_a, *paths_b)
     coords = [c for path in paths for point in path for c in point]
     ints, scale = _integers(coords)
-    if scale is None:  # float coordinates of a tree built in code: take their exact values
-        ints, scale = _integers([Fraction(c) for c in coords])
     width = len(ints) // len(paths) if paths else 1
     rows = [ints[k:k + width] for k in range(0, len(ints), width)]
     if cfg.exact_costs:
@@ -547,6 +593,38 @@ def _plain_transport(law_a, law_b, cfg: MetricConfig):
 # -- compositional coupling oracle ----------------------------------------------
 
 
+def _composer(comp: _CompiledForms):
+    """``cost(plan_of)``: expected path cost of the coupling composed from
+    ``plan_of(pair)``, a plan between the laws of a reachable atom pair as
+    ((u, v), w) edges, w an int over D_t^2.  Plans are drawn in the
+    pre-order of first visits and costs summed children before parents: an
+    int over L^p * products[t]^2 and one ``Fraction`` at the end, or at
+    non-integer orders floats adding w / D_t^2 * cost in plan order.
+    Stage costs are priced once per composer."""
+    exact = comp.unit is not None
+    squares = [p * p if exact else 1 for p in comp.products]
+    divisors = [1 if exact else d * d for d in comp.scales]
+    stage: dict = {}  # pair -> (stage cost, D_t^2)
+
+    def price(pair):
+        x, y = pair
+        t = comp.level[x]
+        stage[pair] = found = (comp.step_cost(comp.rows[x], comp.rows[y]) * squares[t], divisors[t])
+        return found
+
+    def cost(plan_of):
+        costs: dict = {}
+        for pair, plan in _postorder([(comp.roots, 1)], lambda pair: plan_of(pair) if pair[0].law else ()):
+            total, d = stage.get(pair) or price(pair)
+            for child, w in plan:
+                total += (w if exact else w / d) * costs[child]
+            costs[pair] = total
+        total = costs[comp.roots]
+        return Fraction(total, comp.unit * squares[0]) if exact else total
+
+    return cost
+
+
 def random_bicausal_cost(table: NestedDistanceTable, seed: int, samples: int) -> list:
     """Expected path costs of ``samples`` bicausal couplings between the two
     canonical forms of ``table``, built by stage composition: a plan between
@@ -558,79 +636,30 @@ def random_bicausal_cost(table: NestedDistanceTable, seed: int, samples: int) ->
     remainder are random transport vertices.  Every value is an upper bound
     for ``aw_distance``.  Nothing is canonicalized or solved again.
 
-    Stage costs are compiled by ``_integers``, as ``ot_solve`` compiles
-    its problems.  When they are rational (integer p and weak mode) the
-    walk runs on plain ints: probabilities are integers over D, the lcm of
-    all law denominators; plan weights are integers over S = D*D; stage
-    costs are integers over V, the lcm of their denominators.  A level-t
-    cost is an integer over V * S^(N-t), and one ``Fraction`` is built per
-    sample.  Weak-mode costs are clipped at 1, as in ``aw_distance``, so
-    the bound stays valid.
-
-    Otherwise (non-integer p) the costs are floats and only approximate:
-    stage costs are floats and each integer plan weight w enters as w / S,
-    with no S^N scaling, which would overflow a float.
+    ``_composer`` prices them on the table's compilation, with plan weights
+    as ints over D_t^2: exact at integer p and in weak mode, floats at
+    non-integer p.  Weak-mode costs are clipped at 1, as in ``aw_distance``,
+    so the bound stays valid.
     """
     if samples < 1:
         raise SolverError("samples must be >= 1")
-    cfg = table.config
-    n = cfg.num_steps
+    comp = table.compiled
+    cost, rng = _composer(comp), random.Random(seed)
 
-    # the canonical laws are the successor laws of two value-less time-0
-    # roots; they are local to this walk and never interned
-    root = (NestedAtom((), table.left.law, 0), NestedAtom((), table.right.law, 0))
-    levels = [{root: StageEntry(cost=0, plan=table.root_plan)}, *table.levels]
-    atoms = {x for level in levels for pair in level for x in pair}
-
-    scale_d = math.lcm(*(w.denominator for x in atoms for _, w in x.law))
-    scale_s = scale_d * scale_d
-    laws = {x: [(u, int(w * scale_d)) for u, w in x.law] for x in atoms}
-    plans = {
-        pair: [((u, v), int(w * scale_s)) for u, v, w in entry.plan]
-        for level in levels[:-1]
-        for pair, entry in level.items()
-    }
-    pairs = [(t, pair) for t, level in enumerate(levels) for pair in level]
-    compiled, scale_v = _integers([cfg.step_cost(x.value, y.value) for _, (x, y) in pairs])
-    exact = scale_v is not None
-    stage = {
-        pair: cost * scale_s ** (n - t) if exact else float(cost)
-        for (t, pair), cost in zip(pairs, compiled)
-    }
-
-    rng = random.Random(seed)
-    results = []
+    def optimal_plan(pair):
+        t = comp.level[pair[0]]
+        plan = table.levels[t - 1][pair].plan if t else table.root_plan
+        return [((u, v), w.numerator * (comp.scales[t] ** 2 // w.denominator)) for u, v, w in plan]
 
     def product_plan(pair):
         x, y = pair
-        return [((u, v), wu * wv) for u, wu in laws[x] for v, wv in laws[y]]
+        return [((u, v), wu * wv) for u, wu in comp.laws[x] for v, wv in comp.laws[y]]
 
     def random_plan(pair):
-        # weights enter scaled by D; the greedy then emits plans scaled by S
-        x, y = pair
-        return _random_vertex(
-            [(u, w * scale_d) for u, w in laws[x]],
-            [(v, w * scale_d) for v, w in laws[y]],
-            rng,
-        )
+        return _random_vertex(comp.wide[pair[0]], comp.wide[pair[1]], rng)
 
-    for sample in range(samples):
-        # plans are drawn in the pre-order of first visits, costs summed
-        # children before parents
-        plan_for = plans.get if sample == 0 else product_plan if sample == 1 else random_plan
-        costs: dict = {}
-        for pair, plan in _postorder([(root, 1)], lambda pair: plan_for(pair) if pair[0].law else ()):
-            total = stage[pair]
-            for child, w in plan:
-                total += (w if exact else w / scale_s) * costs[child]
-            costs[pair] = total
-        total = costs[root]
-        if exact:
-            total = Fraction(total, scale_v * scale_s**n)
-            if cfg.is_weak and total > 1:
-                total = Fraction(1)
-        results.append(total)
-    return results
+    costs = map(cost, [optimal_plan, product_plan, *[random_plan] * (samples - 2)][:samples])
+    return [min(c, Fraction(1)) for c in costs] if table.config.is_weak else list(costs)
 
 
 def _random_vertex(row_law, col_law, rng) -> list[tuple[tuple[object, object], int]]:

@@ -294,6 +294,52 @@ def reference_aw(a: FilteredTree, b: FilteredTree):
     return (F(1) if truncated else value), levels, plan, truncated
 
 
+def reference_lp(f, g):
+    """Reference L^p integral between two quantile maps: plain recursion on
+    ``Fraction``s (floats at non-integer orders) over pairs of cells that
+    overlap, with stage costs from ``step_cost``.
+
+    Cells overlap where their own [lo, hi) intervals meet, taken row by row,
+    which is the north-west order.  A pair's cost is its stage cost plus the
+    overlap-weighted costs of its child pairs, added in that order; weak
+    mode carries the cost so far down to the leaves and clips each path at
+    1 there.
+    """
+    cfg = f.config
+
+    def overlaps(cells_a, cells_b):
+        for ca in cells_a:
+            for cb in cells_b:
+                lam = min(ca.hi, cb.hi) - max(ca.lo, cb.lo)
+                if lam > 0:
+                    yield ca, cb, lam
+
+    def cost(ca, cb, acc):
+        total = acc + cfg.step_cost(ca.atom.value, cb.atom.value)
+        if not ca.children:
+            return min(total, F(1)) if cfg.is_weak else total
+        if cfg.is_weak:
+            return sum(lam * cost(x, y, total) for x, y, lam in overlaps(ca.children, cb.children))
+        for x, y, lam in overlaps(ca.children, cb.children):
+            total = total + lam * cost(x, y, 0)
+        return total
+
+    total = F(0) if cfg.exact_costs else 0.0
+    for ca, cb, lam in overlaps(f.cells, g.cells):
+        total = total + lam * cost(ca, cb, 0)
+    return total
+
+
+def reordered(tree: FilteredTree) -> FilteredTree:
+    """``tree`` with every node's children, and the roots, in reverse order;
+    its canonical form is the same."""
+    nodes = {
+        node.node_id: TreeNode(node.node_id, node.time, node.value, node.info, node.children[::-1])
+        for node in tree.nodes()
+    }
+    return FilteredTree(tree.config, nodes, tree.root_children[::-1])
+
+
 REGRESSION_EPS = (F(1, 10), F(1, 100))
 
 

@@ -125,9 +125,9 @@ def test_malformed_document_errors(case):
     assert str(caught.value) == message
 
 
-def test_leaf_total_failure_names_the_exact_total():
+def test_float_edge_probabilities_are_rejected():
     # float edges that sum to 1.0 in floats, under three exact 1/3 roots:
-    # the leaf masses are floats whose sum misses 1
+    # the node that carries the first float is named
     third = 1.0 - 0.1 - 0.2
     nodes = {}
     for r in range(3):
@@ -138,7 +138,24 @@ def test_leaf_total_failure_names_the_exact_total():
     config = load_tree(_chain_doc(["1"])).config
     with pytest.raises(TreeValidationError) as caught:
         FilteredTree(config, nodes, tuple((f"r{r}", F(1, 3)) for r in range(3)))
-    assert str(caught.value) == "leaf probabilities sum to 0.9999999999999999, expected 1"
+    assert str(caught.value) == "node 'r0' carries probability 0.1 on child 'r0.0'; it must be rational"
+    assert caught.value.node_id == "r0.0"
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_float_value_coordinates_are_rejected(steps):
+    # a float coordinate used to pass validation and then crash canonical
+    # interning with an AttributeError
+    values = [F(0)] * (steps - 1) + [0.5]
+    nodes = {
+        f"n{t}": TreeNode(f"n{t}", t, (v,), "", ((f"n{t + 1}", F(1)),) if t < steps else ())
+        for t, v in enumerate(values, start=1)
+    }
+    config = helpers.cfg(n=steps)
+    with pytest.raises(TreeValidationError) as caught:
+        FilteredTree(config, nodes, (("n1", F(1)),))
+    assert str(caught.value) == f"node 'n{steps}' has value coordinate 0.5; it must be rational"
+    assert caught.value.node_id == f"n{steps}"
 
 
 def test_float_value_parses_like_its_repr():

@@ -166,6 +166,20 @@ class TestLpDistance:
         assert value == (eps + 1) / 2
         assert value == F(11, 20)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3, F(3, 2), 0])
+    def test_matches_the_reference_recursion(self, p, d):
+        # a tree against itself and against a child-reordered copy shares
+        # every atom between the two forms
+        rng = random.Random(f"lp-{p}-{d}")
+        for _ in range(6):
+            a, b = helpers.random_pair(rng, p=p, d=d)
+            f, g = quantile_map(a), quantile_map(b)
+            for x, y in ((f, g), (g, f), (f, f), (f, quantile_map(helpers.reordered(a)))):
+                value, ref = lp_distance(x, y), helpers.reference_lp(x, y)
+                # floats bit for bit, Fractions exact; the type is part of the output
+                assert type(value) is type(ref) and value == ref
+
     def test_shape_mismatch_rejected(self):
         from adt import ConfigMismatchError
 

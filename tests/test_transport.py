@@ -583,6 +583,31 @@ class TestCouplingOracle:
         eps = F(1, 10)
         assert costs[1] == eps + (0 + 2) / F(2)
 
+    @pytest.mark.parametrize("p", [1, 2, 0])
+    def test_product_sample_is_the_independent_coupling_cost(self, p):
+        # sample 1 priced from the two canonical forms on Fractions: each
+        # pair pays its stage cost plus the product-weighted child costs
+        def product_cost(x, y, cfg):
+            return cfg.step_cost(x.value, y.value) + sum(
+                (wu * wv * product_cost(u, v, cfg) for u, wu in x.law for v, wv in y.law), F(0)
+            )
+
+        rng = random.Random(f"product-{p}")
+        for d in (1, 2):
+            for _ in range(6):
+                a, b = helpers.random_pair(rng, p=p, d=d)
+                _, table = aw_distance(a, b)
+                cfg = table.config
+                expected = sum(
+                    (wu * wv * product_cost(u, v, cfg)
+                     for u, wu in table.left.law for v, wv in table.right.law),
+                    F(0),
+                )
+                if cfg.is_weak:
+                    expected = min(expected, F(1))
+                sample = random_bicausal_cost(table, seed=0, samples=2)[1]
+                assert type(sample) is F and sample == expected
+
     def test_only_one_coupling_exists_for_chain_versus_split(self):
         # every stage plan here couples a singleton law, so the bicausal
         # coupling is unique and every sample must equal the optimum
