@@ -24,7 +24,6 @@ from .applications import (
 from .canonical import (
     CanonicalForm,
     InformationResult,
-    LipschitzMarkovReport,
     NestedAtom,
     admits_adapted_map,
     atom_level_ranks,
@@ -32,7 +31,6 @@ from .canonical import (
     digest_tree,
     hk_equivalent,
     information_process,
-    is_lipschitz_markov,
     is_markov,
     is_self_aware,
     markov_lift,
@@ -105,11 +103,12 @@ from .skorokhod import (
     quantile_map,
 )
 from .transport import (
+    LipschitzMarkovReport,
     NestedDistanceTable,
     StageEntry,
     TransportPlan,
     aw_distance,
-    information_lift_contraction_ratio,
+    is_lipschitz_markov,
     ot_solve,
     random_bicausal_cost,
     wasserstein_paths,
@@ -131,12 +130,11 @@ __all__ = [
     "NestedAtom", "CanonicalForm", "InformationResult", "information_process",
     "atom_level_ranks", "canonical_tree", "hk_equivalent", "digest_tree",
     "is_self_aware", "self_contained_check", "self_aware_lift", "markov_lift",
-    "is_markov", "is_lipschitz_markov", "LipschitzMarkovReport",
-    "admits_adapted_map", "subtree_process",
+    "is_markov", "admits_adapted_map", "subtree_process",
     # transport
     "TransportPlan", "ot_solve", "StageEntry",
     "NestedDistanceTable", "aw_distance", "wasserstein_paths",
-    "random_bicausal_cost", "information_lift_contraction_ratio",
+    "random_bicausal_cost", "is_lipschitz_markov", "LipschitzMarkovReport",
     # couplings
     "PathCoupling", "CausalityReport", "BicausalReport", "check_causal",
     "check_bicausal", "assemble_optimal_coupling", "ProductTree",

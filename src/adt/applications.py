@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import decimal
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -46,6 +47,8 @@ def _fraction_constant(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ExpressionError(f"constant {value!r} is out of range (too large for a float)")
         return Fraction(decimal.Decimal(repr(value)))
     raise ExpressionError(f"unsupported constant {value!r}")
 

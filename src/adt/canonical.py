@@ -10,7 +10,6 @@ when the adapted transport distance vanishes.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import threading
 import weakref
@@ -18,7 +17,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import ConfigMismatchError, NotMarkovError, TreeValidationError
+from .errors import ConfigMismatchError, TreeValidationError
 from .process_model import (
     FilteredTree,
     MetricConfig,
@@ -40,8 +39,6 @@ __all__ = [
     "self_aware_lift",
     "markov_lift",
     "is_markov",
-    "is_lipschitz_markov",
-    "LipschitzMarkovReport",
     "self_contained_check",
     "admits_adapted_map",
     "subtree_process",
@@ -402,60 +399,6 @@ def is_markov(tree: FilteredTree) -> bool:
             elif seen != kernel:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class LipschitzMarkovReport:
-    ok: bool
-    max_ratio: Fraction | float
-    witness: tuple | None
-
-
-def is_lipschitz_markov(
-    tree: FilteredTree,
-    bound: Fraction,
-    state_metric: Callable | None = None,
-    kernel_metric: Callable | None = None,
-) -> LipschitzMarkovReport:
-    """Check the kernel Lipschitz property of a Markov value process.
-
-    For every time t and every pair of distinct time-t values x, x', the
-    1-Wasserstein distance between the one-step kernels at x and x' must be
-    at most ``bound`` times the distance between x and x'.  Metrics default
-    to the per-step norm of the tree's configuration; both hooks receive
-    (time, value, value) so callers can substitute a structural metric.
-
-    Returns the worst observed ratio together with a witness pair.  Raises
-    NotMarkovError when kernels are not a function of the value.
-    """
-    from .transport import _worst_ratio  # local import to keep module layers acyclic
-
-    if not is_markov(tree):
-        raise NotMarkovError("is_lipschitz_markov requires a Markov value process")
-    cfg = tree.config
-    if state_metric is None:
-        state_metric = lambda t, x, y: cfg.step_distance(x, y)
-    if kernel_metric is None:
-        kernel_metric = lambda t, x, y: cfg.step_distance(x, y)
-
-    def pairs():
-        for t in range(1, cfg.num_steps):
-            kernels: dict[tuple, dict[tuple, Fraction]] = {}
-            for node_id in tree.level(t):
-                value = tree.node(node_id).value
-                if value not in kernels:
-                    kernels[value] = _one_step_kernel(tree, node_id)
-            for x, y in itertools.combinations(kernels, 2):
-                yield (
-                    (t, x, y),
-                    sorted(kernels[x].items()),
-                    sorted(kernels[y].items()),
-                    lambda a, b: kernel_metric(t + 1, a, b),
-                    state_metric(t, x, y),
-                )
-
-    max_ratio, witness, exceeded = _worst_ratio(pairs(), Fraction(bound))
-    return LipschitzMarkovReport(ok=not exceeded, max_ratio=max_ratio, witness=witness)
 
 
 # -- adapted maps and subtrees -------------------------------------------------

@@ -458,9 +458,11 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_stop(args) -> int:
     tree = _load(args.tree, args)
-    payoff = PayoffSpec.from_text(
-        args.payoff, tree.config.num_steps, args.lipschitz, tree.config.dim
-    )
+    try:
+        lipschitz = Fraction(args.lipschitz)
+    except (ValueError, ZeroDivisionError):
+        raise DocumentError(f"cannot parse Lipschitz constant {args.lipschitz!r}") from None
+    payoff = PayoffSpec.from_text(args.payoff, tree.config.num_steps, lipschitz, tree.config.dim)
     sample = verify_lipschitz(payoff, seed=args.seed)
     result = optimal_stopping(tree, payoff)
     stops = sum(1 for v in result.rule.values() if v == "stop")

@@ -138,6 +138,18 @@ def _require_unit_sum(weights, message) -> None:
         raise TreeValidationError(message(sum(weights, Fraction(0))))
 
 
+def _integer_field(raw, message: str) -> int:
+    """An integer document field: an int, a whole float or a string ``int``
+    reads.  A bool, a non-whole or non-finite number, or anything else
+    raises DocumentError with ``message``."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise DocumentError(message)
+    try:
+        return int(raw)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(message) from exc
+
+
 def _is_object(raw) -> bool:
     """A JSON object: a dict, or any other mapping."""
     return type(raw) is dict or isinstance(raw, Mapping)
@@ -260,18 +272,14 @@ class MetricConfig:
         for key in ("N", "d", "p"):
             if key not in doc:
                 raise DocumentError(f"config is missing key {key!r}")
-        try:
-            num_steps = int(doc["N"])
-            dim = int(doc["d"])
-        except (TypeError, ValueError) as exc:
-            raise DocumentError("config N and d must be integers") from exc
+        num_steps = _integer_field(doc["N"], "config N and d must be integers")
+        dim = _integer_field(doc["d"], "config N and d must be integers")
         raw = doc["p"]
         order = Fraction(Decimal(repr(raw))) if isinstance(raw, float) else parse_probability(raw)
-        decimals = doc.get("value_decimals", default_value_decimals())
-        try:
-            decimals = int(decimals)
-        except (TypeError, ValueError) as exc:
-            raise DocumentError("config value_decimals must be an integer") from exc
+        decimals = _integer_field(
+            doc.get("value_decimals", default_value_decimals()),
+            "config value_decimals must be an integer",
+        )
         return cls(num_steps=num_steps, dim=dim, order=order, value_decimals=decimals)
 
 
@@ -585,10 +593,7 @@ def _parse_node(raw, parse_value, parse_prob) -> TreeNode:
     node_id = raw["id"]
     if not isinstance(node_id, str) or not node_id:
         raise DocumentError(f"node id must be a non-empty string, got {node_id!r}")
-    try:
-        time = int(raw["time"])
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"node {node_id!r} has a non-integer time") from exc
+    time = _integer_field(raw["time"], f"node {node_id!r} has a non-integer time")
     value_raw = raw["value"]
     if not _is_array(value_raw):
         raise DocumentError(f"node {node_id!r} value must be an array of coordinates")

@@ -26,6 +26,7 @@ from .process_model import (
     _postorder,
     _unfold,
     law_on_paths,
+    path_cost,
     path_distance,
 )
 from . import transport  # aw_distance is looked up when called, so a wrapper set on it sees the calls
@@ -186,6 +187,29 @@ def induced_tree(qmap: QuantileMap) -> FilteredTree:
 # -- exact L^p distance between representations --------------------------------
 
 
+def _common_boxes(f: QuantileMap, g: QuantileMap):
+    """The boxes of the common refinement of two representations, in
+    depth-first order, as (volume, midpoint, xs, ys).
+
+    At every stage the two successor laws share [0, 1), and their overlaps
+    (``_overlap_laws``, whose weights are the interval lengths) refine it;
+    ``xs`` and ``ys`` are the two value paths of the box.
+    """
+    stack = [(f.form.law, g.form.law, Fraction(1), (), (), ())]
+    while stack:
+        law_a, law_b, volume, point, xs, ys = stack.pop()
+        lo = Fraction(0)
+        below = []
+        for a, b, lam in _overlap_laws(law_a, law_b):
+            box = (volume * lam, point + (lo + lam / 2,), xs + (a.value,), ys + (b.value,))
+            lo += lam
+            if a.is_terminal:
+                yield box
+            else:
+                below.append((a.law, b.law, *box))
+        stack.extend(reversed(below))
+
+
 def lp_distance(f: QuantileMap, g: QuantileMap):
     """Exact integral of the path cost between two quantile representations
     over the unit cube (p-th power of the L^p gap; for weak mode, the
@@ -194,29 +218,16 @@ def lp_distance(f: QuantileMap, g: QuantileMap):
     The shared uniform coordinates couple the two successor laws of every
     stage on [0,1): the north-west corner coupling in canonical order,
     composed stage by stage on the compiled ints (``_composer``).  In weak
-    mode the truncation depends on the cost so far, so the pair paths are
-    walked with their box volumes instead.
+    mode each path's cost is clipped at 1, so the common boxes are summed
+    with their volumes instead.
     """
     f.config.require_same_shape(g.config, "lp_distance")
     cfg = f.config
-
     if cfg.is_weak:
-        # level by level, each pair chain with its box volume, on Fractions
-        total = Fraction(0)
-        level = [(a, b, lam, Fraction(0)) for a, b, lam in _overlap_laws(f.form.law, g.form.law)]
-        while level:
-            nxt = []
-            for a, b, volume, acc in level:
-                acc = acc + cfg.step_cost(a.value, b.value)
-                if acc >= 1 or a.is_terminal:
-                    total += volume * min(acc, Fraction(1))
-                else:
-                    nxt.extend(
-                        (ca, cb, volume * lam, acc) for ca, cb, lam in _overlap_laws(a.law, b.law)
-                    )
-            level = nxt
-        return total
-
+        return sum(
+            (volume * path_cost(xs, ys, cfg) for volume, _, xs, ys in _common_boxes(f, g)),
+            Fraction(0),
+        )
     comp = _compile_forms(cfg, f.form, g.form)
     return _composer(comp)(
         lambda pair: [((u, v), w) for u, v, w in _overlap_laws(comp.wide[pair[0]], comp.wide[pair[1]])]
@@ -227,35 +238,19 @@ def max_pointwise_gap(f: QuantileMap, g: QuantileMap):
     """Largest path distance between the two step functions over the
     deterministic grid of refinement-box midpoints.
 
-    Returns (gap, point); a diagnostic for pointwise closeness — finite data
-    cannot certify almost-sure statements beyond this grid.
+    Returns (gap, point), the first largest gap in depth-first box order;
+    a diagnostic for pointwise closeness — finite data cannot certify
+    almost-sure statements beyond this grid.
     """
     f.config.require_same_shape(g.config, "max_pointwise_gap")
-    cfg = f.config
-    best_gap = best_point = None
-    # level by level, expanding each level's pairs in order: the boxes come
-    # out in depth-first order, and the first largest gap wins
-    level = [(f.cells, g.cells, (), (), ())]
-    while level:
-        nxt = []
-        for cells_a, cells_b, xs, ys, point in level:
-            lo = Fraction(0)
-            for ca, cb, lam in _overlap_laws(
-                [(c, c.length) for c in cells_a], [(c, c.length) for c in cells_b]
-            ):
-                mid = lo + lam / 2
-                lo += lam
-                nxs, nys, npoint = xs + (ca.atom.value,), ys + (cb.atom.value,), point + (mid,)
-                if ca.children and cb.children:
-                    nxt.append((ca.children, cb.children, nxs, nys, npoint))
-                    continue
-                gap = path_distance(nxs, nys, cfg)
-                if best_gap is None or gap > best_gap:
-                    best_gap, best_point = gap, npoint
-        level = nxt
-    if best_gap is None:
+    best = None
+    for _, point, xs, ys in _common_boxes(f, g):
+        gap = path_distance(xs, ys, f.config)
+        if best is None or gap > best[0]:
+            best = gap, point
+    if best is None:
         raise SolverError("gap diagnostic found no boxes (empty representation)")
-    return best_gap, best_point
+    return best
 
 
 def lp_representation_on_common_basis(a: FilteredTree, b: FilteredTree):

@@ -17,6 +17,8 @@ Both forms are compiled to integers once (``_compile_forms``); the table
 keeps them, and is the certificate optimal couplings are assembled from.
 One walk (``_composer``) prices couplings composed stage by stage: the
 sampling oracle's and the quantile L^p distance's (north-west) ones.
+The Lipschitz check of Markov kernels (``is_lipschitz_markov``) solves its
+kernel W1 problems with the same simplex.
 """
 
 from __future__ import annotations
@@ -27,16 +29,18 @@ import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import mul, sub
 
 from .canonical import (
     CanonicalForm,
     InformationResult,
     NestedAtom,
+    _one_step_kernel,
     information_process,
+    is_markov,
 )
-from .errors import SolverError, StaleTableError
+from .errors import NotMarkovError, SolverError, StaleTableError
 from .process_model import (
     DiscreteMeasure,
     FilteredTree,
@@ -54,7 +58,8 @@ __all__ = [
     "aw_distance",
     "wasserstein_paths",
     "random_bicausal_cost",
-    "information_lift_contraction_ratio",
+    "LipschitzMarkovReport",
+    "is_lipschitz_markov",
 ]
 
 
@@ -355,6 +360,52 @@ def _solve_laws(law_a, law_b, cost_of):
         [[cost_of(x, y) for y in atoms_b] for x in atoms_a],
     )
     return value, tuple((atoms_a[i], atoms_b[j], w) for i, j, w in plan.support)
+
+
+@dataclass(frozen=True)
+class LipschitzMarkovReport:
+    ok: bool
+    max_ratio: Fraction | float
+    witness: tuple | None
+
+
+def is_lipschitz_markov(tree: FilteredTree, bound: Fraction) -> LipschitzMarkovReport:
+    """Check the kernel Lipschitz property of a Markov value process.
+
+    For every time t and every pair of distinct time-t values x, x', the
+    1-Wasserstein distance between the one-step kernels at x and x' must be
+    at most ``bound`` times the distance between x and x'; both distances
+    are the per-step norm of the tree's configuration.
+
+    Returns the worst ratio (0 when there is no pair) with the first pair
+    ``(t, x, x')`` that reaches it; a zero distance with a nonzero W1 gives
+    ratio inf.  Raises NotMarkovError when kernels are not a function of
+    the value.
+    """
+    if not is_markov(tree):
+        raise NotMarkovError("is_lipschitz_markov requires a Markov value process")
+    cfg = tree.config
+    bound = Fraction(bound)
+    worst, witness, exceeded = Fraction(0), None, False
+    for t in range(1, cfg.num_steps):
+        kernels: dict[tuple, list] = {}
+        for node_id in tree.level(t):
+            value = tree.node(node_id).value
+            if value not in kernels:
+                kernels[value] = sorted(_one_step_kernel(tree, node_id).items())
+        for x, y in combinations(kernels, 2):
+            w1, _ = _solve_laws(kernels[x], kernels[y], cfg.step_distance)
+            gap = cfg.step_distance(x, y)
+            if gap == 0:
+                if w1 != 0:
+                    return LipschitzMarkovReport(ok=False, max_ratio=float("inf"), witness=(t, x, y))
+                continue
+            ratio = w1 / gap if isinstance(w1, Fraction) and isinstance(gap, Fraction) \
+                else float(w1) / float(gap)
+            if ratio > worst:
+                worst, witness = ratio, (t, x, y)
+            exceeded = exceeded or ratio > bound
+    return LipschitzMarkovReport(ok=not exceeded, max_ratio=worst, witness=witness)
 
 
 def _overlap_laws(law_a, law_b):
@@ -678,55 +729,3 @@ def _random_vertex(row_law, col_law, rng) -> list[tuple[tuple[object, object], i
             rem_rows[i] -= w
             rem_cols[j] -= w
     return out
-
-
-def information_lift_contraction_ratio(tree: FilteredTree):
-    """Worst kernel-to-state distance ratio of the nested-structure chain.
-
-    States are the tree's atoms under the nested metric; kernels are their
-    successor laws.  The projection onto the next level is a contraction, so
-    the ratio never exceeds 1; this computes it exactly (for p = 1) as a
-    regression guard.
-    """
-    cfg = tree.config
-    _, table = aw_distance(tree, tree)
-    levels_a, levels_b = table.left.levels(), table.right.levels()
-
-    def pairs():
-        for t in range(1, cfg.num_steps):
-            for alpha in levels_a[t - 1]:
-                for beta in levels_b[t - 1]:
-                    if alpha is not beta:
-                        yield (
-                            None, alpha.law, beta.law,
-                            lambda x, y: _rooted(table.entry(t + 1, x, y).cost, cfg),
-                            _rooted(table.entry(t, alpha, beta).cost, cfg),
-                        )
-
-    return _worst_ratio(pairs())[0]
-
-
-def _worst_ratio(pairs, bound=math.inf):
-    """Largest ratio of W1 between two kernels to the gap between their
-    states, over ``(key, law, law, cost_of, gap)`` pairs.  Returns the
-    ratio (0 if none), the key it was first reached at, and whether any
-    ratio exceeded ``bound``; a zero gap with a nonzero W1 returns inf."""
-    worst, witness, exceeded = Fraction(0), None, False
-    for key, law_a, law_b, cost_of, gap in pairs:
-        w1, _ = _solve_laws(law_a, law_b, cost_of)
-        if gap == 0:
-            if w1 != 0:
-                return float("inf"), key, True
-            continue
-        ratio = w1 / gap if isinstance(w1, Fraction) and isinstance(gap, Fraction) \
-            else float(w1) / float(gap)
-        if ratio > worst:
-            worst, witness = ratio, key
-        exceeded = exceeded or ratio > bound
-    return worst, witness, exceeded
-
-
-def _rooted(cost, cfg: MetricConfig):
-    if cfg.is_weak or cfg.order == 1:
-        return cost
-    return float(cost) ** (1.0 / float(cfg.order))

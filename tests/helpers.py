@@ -9,6 +9,7 @@ an exact fraction.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -16,10 +17,13 @@ from fractions import Fraction as F
 from adt import (
     FilteredTree,
     MetricConfig,
+    NotMarkovError,
     TreeNode,
+    aw_distance,
     information_process,
     non_coexistence_fixture,
     ot_solve,
+    path_distance,
 )
 
 
@@ -328,6 +332,116 @@ def reference_lp(f, g):
     for ca, cb, lam in overlaps(f.cells, g.cells):
         total = total + lam * cost(ca, cb, 0)
     return total
+
+
+def reference_gap(f, g):
+    """Brute-force grid gap between two quantile maps: every pair of boxes
+    from ``partition.boxes()`` whose intervals meet at every stage, at the
+    tuple of the overlaps' midpoints.  The largest path distance wins; ties
+    go to the lexicographically smallest midpoint.  Returns (gap, point)."""
+    best = None
+    for box_a in f.partition.boxes():
+        for box_b in g.partition.boxes():
+            point = []
+            for ca, cb in zip(box_a, box_b):
+                lo, hi = max(ca.lo, cb.lo), min(ca.hi, cb.hi)
+                if lo >= hi:
+                    break
+                point.append((lo + hi) / 2)
+            else:
+                xs = tuple(cell.atom.value for cell in box_a)
+                ys = tuple(cell.atom.value for cell in box_b)
+                gap, point = path_distance(xs, ys, f.config), tuple(point)
+                if best is None or gap > best[0] or (gap == best[0] and point < best[1]):
+                    best = gap, point
+    return best
+
+
+def one_step_kernels(tree: FilteredTree, t: int) -> dict:
+    """Each distinct time-t value's one-step kernel, read from the children
+    of the nodes that carry it, as sorted (value, weight) pairs, keyed in
+    order of first appearance.  Raises NotMarkovError when two nodes with
+    one value have different kernels."""
+    kernels: dict = {}
+    for node_id in tree.level(t):
+        node = tree.node(node_id)
+        kernel: dict = {}
+        for cid, q in node.children:
+            value = tree.node(cid).value
+            kernel[value] = kernel.get(value, 0) + q
+        kernel = sorted(kernel.items())
+        if kernels.setdefault(node.value, kernel) != kernel:
+            raise NotMarkovError(f"two time-{t} nodes with value {node.value} differ")
+    return kernels
+
+
+def kernel_ratio(tree: FilteredTree, t: int, x, y):
+    """W1 between the kernels at time-t values x and y over the distance
+    between x and y, both under ``step_distance``: a Fraction when both are
+    exact, a float otherwise, and inf when the distance is 0 and W1 is not."""
+    cfg = tree.config
+    kernels = one_step_kernels(tree, t)
+    law_x, law_y = kernels[x], kernels[y]
+    w1, _ = ot_solve(
+        [w for _, w in law_x],
+        [w for _, w in law_y],
+        [[cfg.step_distance(a, b) for b, _ in law_y] for a, _ in law_x],
+    )
+    gap = cfg.step_distance(x, y)
+    if gap == 0:
+        return float("inf") if w1 else F(0)
+    if isinstance(w1, F) and isinstance(gap, F):
+        return w1 / gap
+    return float(w1) / float(gap)
+
+
+def kernel_ratios(tree: FilteredTree) -> list:
+    """``kernel_ratio`` of every pair of distinct values at every time below
+    the horizon."""
+    return [
+        kernel_ratio(tree, t, x, y)
+        for t in range(1, tree.config.num_steps)
+        for x, y in itertools.combinations(one_step_kernels(tree, t), 2)
+    ]
+
+
+def contraction_ratio(tree: FilteredTree):
+    """Worst kernel-to-state distance ratio of the nested-structure chain of
+    ``tree`` against itself.
+
+    States are the atoms under the nested metric (the rooted table cost) and
+    kernels are their successor laws.  The bound 1 holds by construction: at
+    p = 1 and in weak mode the kernel LP is the table's own stage problem,
+    and at p > 1 it follows from Jensen's inequality on the W_p-optimal plan.
+    """
+    cfg = tree.config
+
+    def rooted(cost):
+        if cfg.is_weak or cfg.order == 1:
+            return cost
+        return float(cost) ** (1.0 / float(cfg.order))
+
+    _, table = aw_distance(tree, tree)
+    levels_a, levels_b = table.left.levels(), table.right.levels()
+    worst = F(0)
+    for t in range(1, cfg.num_steps):
+        for alpha, beta in itertools.product(levels_a[t - 1], levels_b[t - 1]):
+            if alpha is beta:
+                continue
+            xs, ys = [x for x, _ in alpha.law], [y for y, _ in beta.law]
+            w1, _ = ot_solve(
+                [w for _, w in alpha.law],
+                [w for _, w in beta.law],
+                [[rooted(table.entry(t + 1, x, y).cost) for y in ys] for x in xs],
+            )
+            gap = rooted(table.entry(t, alpha, beta).cost)
+            if gap == 0:
+                if w1 != 0:
+                    return float("inf")
+                continue
+            ratio = w1 / gap if isinstance(w1, F) and isinstance(gap, F) else float(w1) / float(gap)
+            worst = max(worst, ratio)
+    return worst
 
 
 def reordered(tree: FilteredTree) -> FilteredTree:

@@ -69,6 +69,11 @@ class TestPayoffLanguage:
         with pytest.raises(ExpressionError):
             PayoffSpec(["x1 + True"], 1)
 
+    def test_rejects_constants_beyond_float_range(self):
+        for text in ("x1 + 1e400", "x1 - 1e400", "min(x1, 2e308)"):
+            with pytest.raises(ExpressionError, match="out of range"):
+                PayoffSpec([text], 1)
+
     def test_rejects_out_of_range_coordinate(self):
         with pytest.raises(ExpressionError):
             PayoffSpec(["x1_1"], 1, dim=1)

@@ -305,6 +305,35 @@ class TestMarkov:
         assert not report.ok
         assert report.witness is not None
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, F(3, 2), 0])
+    def test_lipschitz_markov_matches_the_definition(self, p, d):
+        # markov lifts of random trees, the raw trees (mostly not Markov)
+        # and, at d = 1, random walks; against kernels read from the children
+        rng = random.Random(f"lipschitz-{p}-{d}")
+        trees = []
+        for _ in range(3):
+            tree = helpers.random_tree(rng, d=d, p=p)
+            trees += [tree, markov_lift(tree)]
+        if d == 1:
+            trees += [helpers.random_walk_tree(3, p), helpers.random_walk_tree(4, p, step=F(1, 2))]
+        for tree in trees:
+            try:
+                expected = max(helpers.kernel_ratios(tree), default=F(0))
+            except NotMarkovError:
+                with pytest.raises(NotMarkovError):
+                    is_lipschitz_markov(tree, F(1))
+                continue
+            for bound in (F(0), F(1, 2), F(1), F(3)):
+                report = is_lipschitz_markov(tree, bound)
+                assert type(report.max_ratio) is type(expected) and report.max_ratio == expected
+                assert report.ok == (expected <= bound)
+                if report.witness is None:
+                    assert expected == 0
+                else:
+                    ratio = helpers.kernel_ratio(tree, *report.witness)
+                    assert type(ratio) is type(expected) and ratio == expected
+
     def test_lipschitz_markov_rejects_non_markov(self):
         nodes = {
             "u": TreeNode("u", 1, (F(1),), "", (("um", F(1)),)),

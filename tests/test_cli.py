@@ -412,6 +412,16 @@ class TestStop:
         assert main(["stop", y_path, "--payoff", "x1 / 2; x2"]) == 11
         assert "error[ExpressionError]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["abc", "1/0", "inf"])
+    def test_bad_lipschitz_exits_3(self, capsys, y_path, raw):
+        assert main(["stop", y_path, "--payoff", "x1; x1 + x2", "--lipschitz", raw]) == 3
+        assert f"error[DocumentError]: cannot parse Lipschitz constant {raw!r}" in capsys.readouterr().err
+
+    def test_constant_beyond_float_range_exits_11(self, capsys, y_path):
+        # Python reads the literal 1e400 as inf
+        assert main(["stop", y_path, "--payoff", "x1; 1e400"]) == 11
+        assert "error[ExpressionError]" in capsys.readouterr().err
+
 
 class TestDoob:
     def test_csv_decomposition(self, capsys, y_path):

@@ -86,6 +86,18 @@ def _off_by_a_trillionth() -> dict:
     return _chain_doc(["1", "2"], ["1/2", "500000000001/1000000000000"])
 
 
+def _with_config(**fields) -> dict:
+    doc = _chain_doc(["1"])
+    doc["config"].update(fields)
+    return doc
+
+
+def _with_time(time) -> dict:
+    doc = _chain_doc(["1"])
+    doc["nodes"][0]["time"] = time
+    return doc
+
+
 MALFORMED = {
     "bad probability after the good one parsed": (
         _late_bad_probability, DocumentError, "cannot parse probability '1/4 x'"),
@@ -108,6 +120,21 @@ MALFORMED = {
     "children off by 1/10^12": (
         _off_by_a_trillionth, TreeValidationError,
         "child probabilities sum to 1000000000001/1000000000000 at node 'a'"),
+    "N beyond float range": (
+        lambda: _with_config(N=float("inf")), DocumentError, "config N and d must be integers"),
+    "N not whole": (
+        lambda: _with_config(N=2.5), DocumentError, "config N and d must be integers"),
+    "d a bool": (
+        lambda: _with_config(d=True), DocumentError, "config N and d must be integers"),
+    "value_decimals beyond float range": (
+        lambda: _with_config(value_decimals=float("inf")), DocumentError,
+        "config value_decimals must be an integer"),
+    "time beyond float range": (
+        lambda: _with_time(float("inf")), DocumentError, "node 'a' has a non-integer time"),
+    "time not whole": (
+        lambda: _with_time(1.5), DocumentError, "node 'a' has a non-integer time"),
+    "time a bool": (
+        lambda: _with_time(True), DocumentError, "node 'a' has a non-integer time"),
     "root children off by 1/10^12": (
         lambda: {**_chain_doc(["1"]), "root_children": [
             {"id": "a", "prob": "999999999999/1000000000000"}]},
@@ -123,6 +150,14 @@ def test_malformed_document_errors(case):
         load_tree(build())
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_integer_fields_accept_whole_numbers_and_digit_strings():
+    doc = _with_config(N=2.0, d="1", value_decimals=6.0)
+    doc["nodes"][0]["time"] = "1"
+    tree = load_tree(doc)
+    assert (tree.config.num_steps, tree.config.dim, tree.config.value_decimals) == (2, 1, 6)
+    assert tree.node("a").time == 1
 
 
 def test_float_edge_probabilities_are_rejected():

@@ -6,9 +6,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adt"
 
-# canonical sits below transport, so its one use of the transport core
-# (``_worst_ratio`` in ``is_lipschitz_markov``) imports when called
-LATE_IMPORTS = {("canonical", "transport")}
+LATE_IMPORTS = set()
 
 
 def _relative_imports():

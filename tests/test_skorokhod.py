@@ -206,6 +206,20 @@ class TestPointwiseGap:
         assert gap == F(1, 10) + 2
         assert all(0 < u < 1 for u in point)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, F(3, 2), 0])
+    def test_matches_the_brute_force_grid(self, p, d):
+        # weak mode clips many gaps to 1, so the tie rule decides the point
+        rng = random.Random(f"gap-{p}-{d}")
+        for _ in range(6):
+            a, b = helpers.random_pair(rng, p=p, d=d)
+            f, g = quantile_map(a), quantile_map(b)
+            for x, y in ((f, g), (g, f), (f, f)):
+                gap, point = max_pointwise_gap(x, y)
+                ref_gap, ref_point = helpers.reference_gap(x, y)
+                assert type(gap) is type(ref_gap) and gap == ref_gap
+                assert point == ref_point
+
     def test_gap_dominates_lp_mean(self):
         # the max over boxes dominates the integral (p = 1)
         for a, b in helpers.regression_pairs(1, extra_random=6):

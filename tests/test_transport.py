@@ -18,7 +18,6 @@ from adt import (
     TreeNode,
     assemble_optimal_coupling,
     aw_distance,
-    information_lift_contraction_ratio,
     information_process,
     law_on_paths,
     ot_solve,
@@ -695,4 +694,4 @@ class TestContraction:
         trees = [helpers.random_walk_tree(3), helpers.bernoulli_x()]
         trees += [helpers.random_tree(rng) for _ in range(10)]
         for tree in trees:
-            assert information_lift_contraction_ratio(tree) <= 1
+            assert helpers.contraction_ratio(tree) <= 1
