@@ -13,7 +13,7 @@ import ast
 import decimal
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigMismatchError, ExpressionError, SolverError
@@ -378,13 +378,7 @@ def doob(tree: FilteredTree) -> DoobDecomposition:
 def decorated_with_drift(decomp: DoobDecomposition) -> FilteredTree:
     """The process decorated with its predictable part: values (X_t, A_t)."""
     tree = decomp.tree
-    cfg = tree.config
-    nodes = {}
-    for node in tree.nodes():
-        nodes[node.node_id] = replace(
-            node, value=node.value + decomp.predictable[node.node_id]
-        )
-    return FilteredTree(replace(cfg, dim=2 * cfg.dim), nodes, tree.root_children)
+    return tree.with_values(2 * tree.config.dim, lambda node: node.value + decomp.predictable[node.node_id])
 
 
 @dataclass(frozen=True)

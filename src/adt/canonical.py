@@ -340,11 +340,10 @@ def self_aware_lift(tree: FilteredTree) -> FilteredTree:
     """
     res = information_process(tree)
     ranks = res.form.ranks
-    nodes = {}
-    for node in tree.nodes():
-        rank = ranks[node.time - 1][res.node_atom[node.node_id]]
-        nodes[node.node_id] = replace(node, value=node.value + (Fraction(rank),))
-    return FilteredTree(replace(tree.config, dim=tree.config.dim + 1), nodes, tree.root_children)
+    return tree.with_values(
+        tree.config.dim + 1,
+        lambda node: node.value + (Fraction(ranks[node.time - 1][res.node_atom[node.node_id]]),),
+    )
 
 
 def markov_lift(tree: FilteredTree) -> FilteredTree:
@@ -357,21 +356,16 @@ def markov_lift(tree: FilteredTree) -> FilteredTree:
     """
     res = information_process(tree)
     ranks = res.form.ranks
-    cfg = tree.config
-    n, d = cfg.num_steps, cfg.dim
-    rank_path: dict[str, tuple[int, ...]] = {}
-    nodes = {}
-    for node in tree.nodes():
-        parent = tree.parent(node.node_id)
-        prior = rank_path[parent] if parent else ()
-        chain = prior + (ranks[node.time - 1][res.node_atom[node.node_id]],)
-        rank_path[node.node_id] = chain
-        history = [v for value in tree.value_path(node.node_id) for v in value]
-        history += [Fraction(0)] * (n * d - len(history))
-        rank_slots = [Fraction(r) for r in chain] + [Fraction(-1)] * (n - len(chain))
-        value = node.value + tuple(history) + tuple(rank_slots)
-        nodes[node.node_id] = replace(node, value=value)
-    return FilteredTree(replace(cfg, dim=d + n * d + n), nodes, tree.root_children)
+    n, d = tree.config.num_steps, tree.config.dim
+
+    def lifted(node):
+        path = tree.node_path(node.node_id)
+        pad = n - len(path)
+        history = [v for m in path for v in tree.node(m).value] + [Fraction(0)] * (pad * d)
+        rank_slots = [Fraction(ranks[t][res.node_atom[m]]) for t, m in enumerate(path)] + [Fraction(-1)] * pad
+        return node.value + tuple(history) + tuple(rank_slots)
+
+    return tree.with_values(d + n * d + n, lifted)
 
 
 # -- markov property ----------------------------------------------------------

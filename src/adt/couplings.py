@@ -378,9 +378,7 @@ def project_product(product: ProductTree, side: str) -> FilteredTree:
         raise SolverError(f"side must be 'left' or 'right', got {side!r}")
     d = product.base_dim
     lo, hi = (0, d) if side == "left" else (d, 2 * d)
-    src = product.tree
-    nodes = {node.node_id: replace(node, value=node.value[lo:hi]) for node in src.nodes()}
-    return FilteredTree(replace(src.config, dim=d), nodes, src.root_children)
+    return product.tree.with_values(d, lambda node: node.value[lo:hi])
 
 
 def pair_path_cost(tree: FilteredTree, base_dim: int):
@@ -414,14 +412,9 @@ def geodesic(product: ProductTree, lam) -> FilteredTree:
     if not 0 <= lam <= 1:
         raise SolverError(f"interpolation parameter must lie in [0, 1], got {lam}")
     d = product.base_dim
-    src = product.tree
-    nodes = {}
-    for node in src.nodes():
-        x = node.value[:d]
-        y = node.value[d:]
-        value = tuple(a + lam * (b - a) for a, b in zip(x, y))
-        nodes[node.node_id] = replace(node, value=value)
-    return FilteredTree(replace(src.config, dim=d), nodes, src.root_children)
+    return product.tree.with_values(
+        d, lambda node: tuple(a + lam * (b - a) for a, b in zip(node.value[:d], node.value[d:]))
+    )
 
 
 # -- randomized extensions --------------------------------------------------------
@@ -550,15 +543,12 @@ def augmented_self_aware_lift(ext: RandomizedExtension) -> FilteredTree:
     augmented with the grid digit: value = (base value, atom rank, digit)."""
     res = information_process(ext.base)
     ranks = res.form.ranks
-    etree = ext.tree
-    cfg = etree.config
-    nodes = {}
-    for node in etree.nodes():
+
+    def lifted(node):
         base_id, chain = ext.node_map[node.node_id]
-        rank = ranks[node.time - 1][res.node_atom[base_id]]
-        value = node.value + (Fraction(rank), Fraction(chain[-1]))
-        nodes[node.node_id] = replace(node, value=value)
-    return FilteredTree(replace(cfg, dim=cfg.dim + 2), nodes, etree.root_children)
+        return node.value + (Fraction(ranks[node.time - 1][res.node_atom[base_id]]), Fraction(chain[-1]))
+
+    return ext.tree.with_values(ext.tree.config.dim + 2, lifted)
 
 
 # -- transfer ---------------------------------------------------------------------
@@ -628,20 +618,15 @@ def transfer(product: ProductTree, target: RandomizedExtension) -> TransferResul
         realized[node.node_id] = gamma
 
     pair_nodes = {}
-    y_nodes = {}
     for node in etree.nodes():
-        gamma = realized[node.node_id]
         base_id, chain = target.node_map[node.node_id]
         # label by (base node, digit): the atom identity on the extension,
         # which keeps siblings distinct however the values slice
         info = f"{base_id}|u{chain[-1]}"
-        pair_nodes[node.node_id] = replace(node, value=gamma.value, info=info)
-        y_nodes[node.node_id] = replace(node, value=gamma.value[d:], info=info)
-    decimals = prod_tree.config.value_decimals
-    pair_cfg = replace(etree.config, dim=2 * d, value_decimals=decimals)
-    y_cfg = replace(etree.config, dim=d, value_decimals=decimals)
+        pair_nodes[node.node_id] = replace(node, value=realized[node.node_id].value, info=info)
+    pair_cfg = replace(etree.config, dim=2 * d, value_decimals=prod_tree.config.value_decimals)
     pair_tree = FilteredTree(pair_cfg, pair_nodes, etree.root_children)
-    y_tree = FilteredTree(y_cfg, y_nodes, etree.root_children)
+    y_tree = pair_tree.with_values(d, lambda node: node.value[d:])
     return TransferResult(pair_tree=pair_tree, y_tree=y_tree, required_m=required)
 
 

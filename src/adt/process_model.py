@@ -17,8 +17,8 @@ import functools
 import json
 import math
 import os
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from fractions import Fraction
 from numbers import Rational
@@ -150,6 +150,17 @@ def _integer_field(raw, message: str) -> int:
         raise DocumentError(message) from exc
 
 
+def _order_field(raw) -> Fraction:
+    """The config's cost order p: an int, a finite float read through its
+    repr, or a string ``Fraction`` reads; anything else raises DocumentError."""
+    if isinstance(raw, (int, float, str, Fraction)) and not isinstance(raw, bool):
+        try:
+            return Fraction(Decimal(repr(raw))) if isinstance(raw, float) else Fraction(raw)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass  # inf, NaN or an unreadable string
+    raise DocumentError(f"config p must be a cost order (a number or 'a/b'), got {raw!r}")
+
+
 def _is_object(raw) -> bool:
     """A JSON object: a dict, or any other mapping."""
     return type(raw) is dict or isinstance(raw, Mapping)
@@ -274,8 +285,7 @@ class MetricConfig:
                 raise DocumentError(f"config is missing key {key!r}")
         num_steps = _integer_field(doc["N"], "config N and d must be integers")
         dim = _integer_field(doc["d"], "config N and d must be integers")
-        raw = doc["p"]
-        order = Fraction(Decimal(repr(raw))) if isinstance(raw, float) else parse_probability(raw)
+        order = _order_field(doc["p"])
         decimals = _integer_field(
             doc.get("value_decimals", default_value_decimals()),
             "config value_decimals must be an integer",
@@ -396,28 +406,6 @@ class FilteredTree:
             if node.children:
                 self._check_edges(f"node {node.node_id!r}", node.time, node.children)
 
-        # reachability and single-parent structure
-        seen: dict[str, str] = {}
-        frontier = [cid for cid, _ in self.root_children]
-        for cid, _ in self.root_children:
-            if cid in seen:
-                raise TreeValidationError(f"node {cid!r} is referenced twice", cid)
-            seen[cid] = ""
-        while frontier:
-            node_id = frontier.pop()
-            node = self._nodes[node_id]
-            for cid, _ in node.children:
-                if cid in seen:
-                    raise TreeValidationError(f"node {cid!r} has more than one parent", cid)
-                seen[cid] = node_id
-                frontier.append(cid)
-        unreachable = sorted(set(self._nodes) - set(seen))
-        if unreachable:
-            raise TreeValidationError(
-                f"node {unreachable[0]!r} is not reachable from the root", unreachable[0]
-            )
-        self._parent = seen
-
     def _check_edges(self, owner: str, time: int, edges: Sequence[tuple[str, Fraction]]) -> None:
         labels = set()
         for k, (cid, prob) in enumerate(edges, 1):
@@ -450,22 +438,31 @@ class FilteredTree:
     # -- indexing ----------------------------------------------------------
 
     def _index(self) -> None:
+        """Parent links, levels, document order and unconditional
+        probabilities from one pre-order walk, which also rejects the first
+        node with two parents and any node with none."""
         cfg = self.config
         levels: list[list[str]] = [[] for _ in range(cfg.num_steps + 1)]
+        parents: dict[str, str | None] = {}
         probs: dict[str, Fraction] = {}
-        order: list[str] = []
-        stack = [(cid, p) for cid, p in reversed(self.root_children)]
+        stack = [(cid, p, None) for cid, p in reversed(self.root_children)]
         while stack:
-            node_id, prob = stack.pop()
+            node_id, prob, parent = stack.pop()
+            if node_id in parents:
+                raise TreeValidationError(f"node {node_id!r} has more than one parent", node_id)
             node = self._nodes[node_id]
             levels[node.time].append(node_id)
+            parents[node_id] = parent
             probs[node_id] = prob
-            order.append(node_id)
             for cid, q in reversed(node.children):
-                stack.append((cid, prob * q))
+                stack.append((cid, prob * q, node_id))
+        if len(parents) < len(self._nodes):
+            unreachable = min(set(self._nodes) - set(parents))
+            raise TreeValidationError(f"node {unreachable!r} is not reachable from the root", unreachable)
         self._levels = [tuple(ids) for ids in levels]
+        self._parent = parents
         self._prob = probs
-        self._order = tuple(order)
+        self._order = tuple(parents)
         leaves = [probs[leaf] for leaf in self._levels[cfg.num_steps]]
         _require_unit_sum(leaves, lambda total: f"leaf probabilities sum to {total}, expected 1")
 
@@ -486,8 +483,7 @@ class FilteredTree:
 
     def parent(self, node_id: str) -> str | None:
         """Parent node id, or None for time-1 nodes."""
-        parent = self._parent[node_id]
-        return parent or None
+        return self._parent[node_id]
 
     def children(self, node_id: str | None) -> tuple[tuple[str, Fraction], ...]:
         """Child edges of a node; ``None`` addresses the virtual root."""
@@ -522,6 +518,12 @@ class FilteredTree:
                 "cannot rebind configuration: N or d disagrees with the tree"
             )
         return FilteredTree(config, self._nodes, self.root_children)
+
+    def with_values(self, dim: int, value_of: Callable[[TreeNode], tuple]) -> "FilteredTree":
+        """Same nodes, edges and probabilities, each node's value replaced by
+        the ``dim``-vector ``value_of(node)``; the result is validated anew."""
+        nodes = {node.node_id: replace(node, value=value_of(node)) for node in self.nodes()}
+        return FilteredTree(replace(self.config, dim=dim), nodes, self.root_children)
 
     # -- serialization -----------------------------------------------------
 

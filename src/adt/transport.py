@@ -313,7 +313,8 @@ class NestedDistanceTable:
     ``levels[t-1]`` maps pairs of their time-t atoms to StageEntry and
     ``root_plan`` couples their laws.  ``truncated`` marks the weak-mode
     case where the reported value was clipped at 1.  ``compiled`` is the
-    integer compilation of the two forms that the table was solved on.
+    integer compilation of the two forms that the table was solved on, and
+    ``solved_on`` holds the two trees with their canonicalizations.
     """
 
     config: MetricConfig
@@ -324,6 +325,7 @@ class NestedDistanceTable:
     root_plan: tuple[tuple[NestedAtom, NestedAtom, Fraction], ...]
     truncated: bool
     compiled: "_CompiledForms" = field(compare=False, repr=False)
+    solved_on: tuple[tuple[FilteredTree, InformationResult], ...] = field(compare=False, repr=False)
 
     def entry(self, time: int, left: NestedAtom, right: NestedAtom) -> StageEntry:
         return self.levels[time - 1][(left, right)]
@@ -331,17 +333,11 @@ class NestedDistanceTable:
     def check_matches(
         self, left: FilteredTree, right: FilteredTree
     ) -> tuple[InformationResult, InformationResult]:
-        """Canonicalize both trees and check that the table was solved on
-        them under their metric; returns the two results.  Atoms are
-        interned, so comparing the laws by atom identity is exact."""
-        res_a = information_process(left)
-        res_b = information_process(right)
-        if not (
-            self.config.same_shape(left.config)
-            and self.config.same_shape(right.config)
-            and res_a.form.law == self.left.law
-            and res_b.form.law == self.right.law
-        ):
+        """The two canonicalizations, when ``left`` and ``right`` are the tree
+        objects the table was solved on; other trees, even equal copies or the
+        same trees under another cost order, raise StaleTableError."""
+        (a, res_a), (b, res_b) = self.solved_on
+        if left is not a or right is not b:
             raise StaleTableError(
                 "distance table does not belong to these trees "
                 "(canonical forms or cost order differ)"
@@ -481,7 +477,7 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
 
     Returns ``(value, table)`` where ``value`` is the optimal bicausal
     expected path cost (the p-th power of the distance; exact for integer
-    p).  Each tree is canonicalized once, and the table keeps both forms.
+    p).  Each tree is canonicalized once; the table keeps both results.
     In weak mode the recursion runs on untruncated 1-norm stage costs and
     the final value is clipped at 1, mirroring the truncated path metric at
     the level of totals.
@@ -498,13 +494,15 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
     (Villani 2003, *Topics in Optimal Transportation*, ch. 2):
     ``_overlap_laws`` sweeps it without an LP.  That corner is the
     simplex's own start, and any pivot from an optimal start is degenerate,
-    so the plan is the same.  At non-integer orders the same loop runs on
-    float costs built from the same ints, bit-identical to ``step_cost``.
+    so the plan is the same.  A law with one atom leaves one feasible plan,
+    the north-west one, so such stages, the root's too, are swept in any d.
+    At non-integer orders the same loop runs on float costs built from the
+    same ints, bit-identical to ``step_cost``.
     """
     a.config.require_same_shape(b.config, "aw_distance")
     cfg = a.config
-    form_a = information_process(a).form
-    form_b = information_process(b).form
+    res_a, res_b = information_process(a), information_process(b)
+    form_a, form_b = res_a.form, res_b.form
     levels_a, levels_b = form_a.levels(), form_b.levels()
     n = cfg.num_steps
     comp = _compile_forms(cfg, form_a, form_b)
@@ -516,7 +514,7 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
     def solve(law_x, law_y, d, terminal):
         """Plan between two laws of ints over ``d``, with weights as ints,
         and its cost under ``below``."""
-        if terminal and sweep:
+        if (terminal and sweep) or len(law_x) == 1 or len(law_y) == 1:
             plan = list(_overlap_laws(law_x, law_y))
         else:
             _, lp = _solve_laws(law_x, law_y, lambda x, y: below[x, y])
@@ -567,6 +565,7 @@ def aw_distance(a: FilteredTree, b: FilteredTree) -> tuple[object, NestedDistanc
         root_plan=plan,
         truncated=truncated,
         compiled=comp,
+        solved_on=((a, res_a), (b, res_b)),
     )
     return value, table
 

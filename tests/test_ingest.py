@@ -98,6 +98,28 @@ def _with_time(time) -> dict:
     return doc
 
 
+def _shared_leaves(*leaves) -> dict:
+    """Time-1 nodes 'a', 'b', ... with values 0, 1, ..., the k-th with the
+    one leaf ``leaves[k]``; a leaf named twice has two parents."""
+    parents = [chr(ord("a") + k) for k in range(len(leaves))]
+    nodes = [
+        {"id": p, "time": 1, "value": [str(k)], "children": [{"id": leaf, "prob": "1"}]}
+        for k, (p, leaf) in enumerate(zip(parents, leaves))
+    ]
+    nodes += [{"id": leaf, "time": 2, "value": ["0"]} for leaf in dict.fromkeys(leaves)]
+    root = [{"id": p, "prob": f"1/{len(parents)}"} for p in parents]
+    return {"config": {"N": 2, "d": 1, "p": "1"}, "nodes": nodes, "root_children": root}
+
+
+def _unreachable_subtree() -> dict:
+    doc = _chain_doc(["1"])
+    doc["nodes"] += [
+        {"id": "z", "time": 1, "value": ["5"], "children": [{"id": "y0", "prob": "1"}]},
+        {"id": "y0", "time": 2, "value": ["5"]},
+    ]
+    return doc
+
+
 MALFORMED = {
     "bad probability after the good one parsed": (
         _late_bad_probability, DocumentError, "cannot parse probability '1/4 x'"),
@@ -124,6 +146,18 @@ MALFORMED = {
         lambda: _with_config(N=float("inf")), DocumentError, "config N and d must be integers"),
     "N not whole": (
         lambda: _with_config(N=2.5), DocumentError, "config N and d must be integers"),
+    "p beyond float range": (
+        lambda: _with_config(p=float("inf")), DocumentError,
+        "config p must be a cost order (a number or 'a/b'), got inf"),
+    "p NaN": (
+        lambda: _with_config(p=float("nan")), DocumentError,
+        "config p must be a cost order (a number or 'a/b'), got nan"),
+    "p a bool": (
+        lambda: _with_config(p=True), DocumentError,
+        "config p must be a cost order (a number or 'a/b'), got True"),
+    "p not a number": (
+        lambda: _with_config(p="abc"), DocumentError,
+        "config p must be a cost order (a number or 'a/b'), got 'abc'"),
     "d a bool": (
         lambda: _with_config(d=True), DocumentError, "config N and d must be integers"),
     "value_decimals beyond float range": (
@@ -140,6 +174,17 @@ MALFORMED = {
             {"id": "a", "prob": "999999999999/1000000000000"}]},
         TreeValidationError,
         "child probabilities sum to 999999999999/1000000000000 at the root"),
+    "node with two parents": (
+        lambda: _shared_leaves("x", "x"), TreeValidationError, "node 'x' has more than one parent"),
+    "two nodes with two parents: the first in pre-order": (
+        lambda: _shared_leaves("x", "x", "y", "y"), TreeValidationError,
+        "node 'x' has more than one parent"),
+    "unreachable subtree: the first id in sorted order": (
+        _unreachable_subtree, TreeValidationError, "node 'y0' is not reachable from the root"),
+    "duplicate root edge": (
+        lambda: {**_chain_doc(["1"]), "root_children": [
+            {"id": "a", "prob": "1/2"}, {"id": "a", "prob": "1/2"}]},
+        TreeValidationError, "the root has two children with value (0) and info ''"),
 }
 
 
@@ -325,8 +370,7 @@ def test_each_distinct_string_parses_once(monkeypatch):
     prob_strings += [e["prob"] for e in doc["root_children"]]
     assert len(value_strings) > 10 * len(set(value_strings))
     assert Counter(calls["value"]) == Counter(set(value_strings))
-    # the config's order "p" goes through parse_probability once more
-    assert Counter(calls["prob"]) == Counter(set(prob_strings)) + Counter([doc["config"]["p"]])
+    assert Counter(calls["prob"]) == Counter(set(prob_strings))
 
 
 def test_coupling_weights_parse_once_and_merge_repeats(monkeypatch):

@@ -240,6 +240,22 @@ class TestAccessors:
         assert rebound.config.order == 2
         assert rebound.node("a+").value == (F(1),)
 
+    def test_with_values_keeps_the_tree(self):
+        tree = helpers.random_tree(random.Random(7), n=3)
+        lifted = tree.with_values(2, lambda node: node.value + (F(node.time),))
+        assert lifted.config == helpers.cfg(n=3, d=2)
+        assert lifted.root_children == tree.root_children
+        assert [n.node_id for n in lifted.nodes()] == [n.node_id for n in tree.nodes()]
+        for node in tree.nodes():
+            new = lifted.node(node.node_id)
+            assert (new.time, new.info, new.children) == (node.time, node.info, node.children)
+            assert new.value == node.value + (F(node.time),)
+            assert lifted.prob(node.node_id) == tree.prob(node.node_id)
+            assert lifted.parent(node.node_id) == tree.parent(node.node_id)
+        # a map that makes two siblings agree in (value, info) is refused
+        with pytest.raises(TreeValidationError, match="has two children"):
+            helpers.bernoulli_x().with_values(1, lambda node: (F(0),))
+
 
 class TestDocuments:
     def test_roundtrip_identity(self):

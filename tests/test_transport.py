@@ -534,8 +534,24 @@ class TestIntegerRecursion:
         monkeypatch.setattr(transport, "ot_solve", lambda *args: calls.append(1) or ot_solve(*args))
         a, b = helpers.random_pair(random.Random(5), d=d, n=3)
         _, table = aw_distance(a, b)
-        # one LP per atom pair of each solved level, and one for the root
-        assert len(calls) == sum(map(len, table.levels[:lp_levels])) + 1
+        # one LP per atom pair of each solved level, and one for the root,
+        # except where a successor law has one atom: that plan is swept
+        laws = [(x.law, y.law) for level in table.levels[:lp_levels] for x, y in level]
+        laws.append((table.left.law, table.right.law))
+        assert len(calls) == sum(len(law_x) > 1 and len(law_y) > 1 for law_x, law_y in laws) > 0
+
+    def test_one_atom_sweep_is_the_simplex_plan(self):
+        # with one atom on a side the plan is forced, whatever the costs
+        rng = random.Random(43)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            nu = [rng.randint(1, 4) for _ in range(n)]
+            nu = [F(w, sum(nu)) for w in nu]
+            cost = [[rng.choice([rng.randint(0, 9), rng.random()]) for _ in range(n)]]
+            for mu, nu, cost in (([F(1)], nu, cost), (nu, [F(1)], [list(c) for c in zip(*cost)])):
+                _, plan = ot_solve(mu, nu, cost)
+                swept = _overlap_laws(list(enumerate(mu)), list(enumerate(nu)))
+                assert list(swept) == list(plan.support)
 
 
 class TestWeakMode:
