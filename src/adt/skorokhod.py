@@ -5,7 +5,8 @@ the product Lebesgue measure: at every stage the successor atoms of its
 canonical form receive consecutive subintervals of [0,1] (in canonical atom
 order) with lengths equal to their conditional probabilities.  Two processes
 represented this way share one source of randomness, so their pathwise L^p
-gap is computable exactly by sweeping the common interval refinement.
+gap is computable exactly by sweeping the common interval refinement on
+the pair's one integer compilation.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .process_model import (
     _postorder,
     _unfold,
     law_on_paths,
-    path_cost,
-    path_distance,
 )
 from . import transport  # aw_distance is looked up when called, so a wrapper set on it sees the calls
 from .transport import _compile_forms, _composer, _overlap_laws, _plain_transport
@@ -146,13 +145,8 @@ def evaluate(qmap: QuantileMap, point: Sequence) -> tuple[tuple[Fraction, ...], 
         u = Fraction(raw)
         if not 0 <= u <= 1:
             raise SolverError(f"coordinate {t + 1} is outside [0, 1]: {u}")
-        chosen = None
-        for cell in cells:
-            if cell.lo <= u < cell.hi:
-                chosen = cell
-                break
-        if chosen is None:
-            chosen = cells[-1]  # u == 1 joins the last box
+        # u == 1 joins the last box
+        chosen = next((cell for cell in cells if cell.lo <= u < cell.hi), cells[-1])
         values.append(chosen.atom.value)
         cells = chosen.children
     return tuple(values)
@@ -187,27 +181,55 @@ def induced_tree(qmap: QuantileMap) -> FilteredTree:
 # -- exact L^p distance between representations --------------------------------
 
 
-def _common_boxes(f: QuantileMap, g: QuantileMap):
-    """The boxes of the common refinement of two representations, in
-    depth-first order, as (volume, midpoint, xs, ys).
+def _common_boxes(comp):
+    """The boxes of the common refinement of a compiled pair (``_compile_forms``),
+    in depth-first order, as (volume, midpoint, cost).
 
-    At every stage the two successor laws share [0, 1), and their overlaps
-    (``_overlap_laws``, whose weights are the interval lengths) refine it;
-    ``xs`` and ``ys`` are the two value paths of the box.
+    At every stage t the two successor laws, ints over D_t, share [0, 1),
+    and their overlaps (``_overlap_laws``) refine it.  ``volume`` is an int
+    over D_0 * ... * D_(N-1), ``midpoint`` one (numerator, 2 * D_t) pair per
+    stage, and ``cost`` the path cost summed stage by stage: an int over
+    ``unit``, or at non-integer orders floats added as ``path_cost`` adds them.
     """
-    stack = [(f.form.law, g.form.law, Fraction(1), (), (), ())]
+    rows, laws, step_cost = comp.rows, comp.laws, comp.step_cost
+    stack = [(*comp.roots, 1, (), 0)]
     while stack:
-        law_a, law_b, volume, point, xs, ys = stack.pop()
-        lo = Fraction(0)
-        below = []
-        for a, b, lam in _overlap_laws(law_a, law_b):
-            box = (volume * lam, point + (lo + lam / 2,), xs + (a.value,), ys + (b.value,))
+        a, b, volume, point, cost = stack.pop()
+        lo, below = 0, []
+        denom = 2 * comp.scales[comp.level[a]]
+        for x, y, lam in _overlap_laws(laws[a], laws[b]):
+            box = volume * lam, point + ((2 * lo + lam, denom),), cost + step_cost(rows[x], rows[y])
             lo += lam
-            if a.is_terminal:
+            if x.is_terminal:
                 yield box
             else:
-                below.append((a.law, b.law, *box))
+                below.append((x, y, *box))
         stack.extend(reversed(below))
+
+
+def _lp(comp, cfg: MetricConfig):
+    """Integral of the path cost under the shared coordinates: the north-west
+    corner coupling in canonical order, composed stage by stage on the
+    compiled ints (``_composer``).  In weak mode each path's cost is clipped
+    at 1, so the common boxes are summed with their volumes instead."""
+    if cfg.is_weak:
+        total = sum(volume * min(cost, comp.unit) for volume, _, cost in _common_boxes(comp))
+        return Fraction(total, comp.products[0] * comp.unit)
+    return _composer(comp)(
+        lambda pair: [((u, v), w) for u, v, w in _overlap_laws(comp.wide[pair[0]], comp.wide[pair[1]])]
+    )
+
+
+def _grid_max(comp, cfg: MetricConfig):
+    """(gap, point) of the first largest path distance over the box midpoints."""
+    best = None
+    for _, point, cost in _common_boxes(comp):
+        gap = cfg.root_cost(cost if comp.unit is None else Fraction(cost, comp.unit))
+        if best is None or gap > best[0]:
+            best = gap, point
+    if best is None:
+        raise SolverError("gap diagnostic found no boxes (empty representation)")
+    return best[0], tuple(Fraction(n, d) for n, d in best[1])
 
 
 def lp_distance(f: QuantileMap, g: QuantileMap):
@@ -216,22 +238,9 @@ def lp_distance(f: QuantileMap, g: QuantileMap):
     integral of the truncated distance).
 
     The shared uniform coordinates couple the two successor laws of every
-    stage on [0,1): the north-west corner coupling in canonical order,
-    composed stage by stage on the compiled ints (``_composer``).  In weak
-    mode each path's cost is clipped at 1, so the common boxes are summed
-    with their volumes instead.
-    """
+    stage on [0,1) (``_lp``)."""
     f.config.require_same_shape(g.config, "lp_distance")
-    cfg = f.config
-    if cfg.is_weak:
-        return sum(
-            (volume * path_cost(xs, ys, cfg) for volume, _, xs, ys in _common_boxes(f, g)),
-            Fraction(0),
-        )
-    comp = _compile_forms(cfg, f.form, g.form)
-    return _composer(comp)(
-        lambda pair: [((u, v), w) for u, v, w in _overlap_laws(comp.wide[pair[0]], comp.wide[pair[1]])]
-    )
+    return _lp(_compile_forms(f.config, f.form, g.form), f.config)
 
 
 def max_pointwise_gap(f: QuantileMap, g: QuantileMap):
@@ -243,14 +252,7 @@ def max_pointwise_gap(f: QuantileMap, g: QuantileMap):
     almost-sure statements beyond this grid.
     """
     f.config.require_same_shape(g.config, "max_pointwise_gap")
-    best = None
-    for _, point, xs, ys in _common_boxes(f, g):
-        gap = path_distance(xs, ys, f.config)
-        if best is None or gap > best[0]:
-            best = gap, point
-    if best is None:
-        raise SolverError("gap diagnostic found no boxes (empty representation)")
-    return best
+    return _grid_max(_compile_forms(f.config, f.form, g.form), f.config)
 
 
 def lp_representation_on_common_basis(a: FilteredTree, b: FilteredTree):
@@ -296,14 +298,13 @@ class ConvergenceReport:
 
 def _to_zero(values) -> bool:
     first, last = values[0], values[-1]
-    if last == 0:
-        return True
-    return first > 0 and last <= first / 8
+    return last == 0 or (first > 0 and last <= first / 8)
 
 
 def convergence_report(sequence: Sequence[FilteredTree], limit: FilteredTree) -> ConvergenceReport:
     """Per sequence member: adapted distance to the limit, exact L^p gap of
-    the quantile representations, and the pointwise grid diagnostic.
+    the quantile representations, and the pointwise grid diagnostic.  The
+    last two are read off the compilation the distance table keeps.
 
     Flags whether the adapted and L^p columns decrease to zero together;
     they must, on families where either does.
@@ -311,14 +312,12 @@ def convergence_report(sequence: Sequence[FilteredTree], limit: FilteredTree) ->
     if not sequence:
         raise SolverError("convergence report needs a nonempty sequence")
     cfg = limit.config
-    q_limit = quantile_map(limit)
     rows = []
     for k, tree in enumerate(sequence, start=1):
         tree.config.require_same_shape(cfg, "convergence_report")
-        value, _ = transport.aw_distance(tree, limit)
-        q_tree = quantile_map(tree)
-        lp = lp_distance(q_tree, q_limit)
-        gap, _ = max_pointwise_gap(q_tree, q_limit)
+        value, table = transport.aw_distance(tree, limit)
+        lp = _lp(table.compiled, cfg)
+        gap, _ = _grid_max(table.compiled, cfg)
         rows.append(
             ConvergenceRow(
                 index=k,

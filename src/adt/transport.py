@@ -339,8 +339,8 @@ class NestedDistanceTable:
         (a, res_a), (b, res_b) = self.solved_on
         if left is not a or right is not b:
             raise StaleTableError(
-                "distance table does not belong to these trees "
-                "(canonical forms or cost order differ)"
+                "distance table does not belong to these trees: it is bound to "
+                "the two tree objects passed to aw_distance"
             )
         return res_a, res_b
 

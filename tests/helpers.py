@@ -456,6 +456,9 @@ def reordered(tree: FilteredTree) -> FilteredTree:
 
 REGRESSION_EPS = (F(1, 10), F(1, 100))
 
+# what ``NestedDistanceTable.check_matches`` says about trees it was not solved on
+STALE = "bound to the two tree objects passed to aw_distance"
+
 
 def regression_pairs(p=1, rng_seed: int = 424242, extra_random: int = 12):
     """The named worked pairs plus a few random ones, all at order p."""

@@ -260,7 +260,7 @@ class TestAssembly:
     def test_rejects_foreign_trees(self):
         x = helpers.bernoulli_x()
         _, table = aw_distance(x, x)
-        with pytest.raises(StaleTableError):
+        with pytest.raises(StaleTableError, match=helpers.STALE):
             assemble_optimal_coupling(table, x, helpers.y_eps(F(1, 10)))
 
 

@@ -1,6 +1,7 @@
 """Quantile representations on the unit cube and the shared-basis diagnostics."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,7 @@ from adt import (
     pushforward_path_law,
     quantile_map,
 )
+from adt import skorokhod, transport
 
 
 def one_step(values_weights, p=1):
@@ -274,6 +276,46 @@ class TestConvergence:
     def test_empty_sequence_rejected(self):
         with pytest.raises(SolverError):
             convergence_report([], helpers.bernoulli_x())
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, F(3, 2), 0])
+    def test_rows_match_the_public_path(self, p, d):
+        # the rows are read off each solved table; the public functions
+        # compile the pair afresh and must agree, types too (floats print
+        # into the CSV)
+        rng = random.Random(f"report-{p}-{d}")
+        for _ in range(3):
+            limit, *members = [t for _ in range(2) for t in helpers.random_pair(rng, p=p, d=d, n=3)]
+            report = convergence_report(members, limit)
+            q_limit = quantile_map(limit)
+            for row, member in zip(report.rows, members):
+                q_member = quantile_map(member)
+                lp = limit.config.root_cost(lp_distance(q_member, q_limit))
+                gap, _ = max_pointwise_gap(q_member, q_limit)
+                assert type(row.lp) is type(lp) and row.lp == lp
+                assert type(row.grid_max) is type(gap) and row.grid_max == gap
+
+    def test_each_pair_is_compiled_once(self, monkeypatch):
+        # one compilation and two canonicalizations per member, all inside
+        # aw_distance, and no quantile map
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (transport, skorokhod):
+            count(module, "_compile_forms")
+            count(module, "information_process")
+        count(skorokhod, "quantile_map")
+        members = [helpers.perturbed_x(n) for n in (1, 2, 4, 8)]
+        convergence_report(members, helpers.bernoulli_x())
+        assert calls == {"_compile_forms": 4, "information_process": 8}
 
 
 class TestFixture:

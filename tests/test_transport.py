@@ -464,7 +464,7 @@ class TestAdaptedDistance:
     def test_stale_table_detected(self):
         x = helpers.bernoulli_x()
         _, table = aw_distance(x, x)
-        with pytest.raises(StaleTableError):
+        with pytest.raises(StaleTableError, match=helpers.STALE):
             table.check_matches(x, helpers.y_eps(F(1, 10)))
 
     def test_stale_table_detected_across_cost_orders(self):
@@ -478,9 +478,9 @@ class TestAdaptedDistance:
         table.check_matches(a, b)
         for order in (F(2), F(0)):
             a2, b2 = (t.with_config(replace(t.config, order=order)) for t in (a, b))
-            with pytest.raises(StaleTableError):
+            with pytest.raises(StaleTableError, match=helpers.STALE):
                 table.check_matches(a2, b2)
-            with pytest.raises(StaleTableError):
+            with pytest.raises(StaleTableError, match=helpers.STALE):
                 assemble_optimal_coupling(table, a2, b2)
 
     def test_shape_mismatch_rejected(self):

@@ -17,6 +17,7 @@ from adt import (
     assemble_optimal_coupling,
     aw_distance,
     canonical_tree,
+    convergence_report,
     doob,
     extend_with_randomization,
     induced_tree,
@@ -98,6 +99,11 @@ def _quantiles(p=1):
     return quantile_map(a), quantile_map(b)
 
 
+def _family(p=1):
+    a, b = helpers.random_pair(random.Random(11), p=p, n=3)
+    return [a, b], b
+
+
 def _transfer_inputs():
     a, b = helpers.bernoulli_x(), helpers.y_eps(F(1, 10))
     product = product_process(assemble_optimal_coupling(aw_distance(a, b)[1], a, b))
@@ -117,6 +123,9 @@ CASES = {
     "lp_distance": lambda: (lp_distance, _quantiles()),
     "lp_distance_weak": lambda: (lp_distance, _quantiles(p=0)),
     "max_pointwise_gap": lambda: (max_pointwise_gap, _quantiles()),
+    "max_pointwise_gap_weak": lambda: (max_pointwise_gap, _quantiles(p=0)),
+    "convergence_report": lambda: (convergence_report, _family()),
+    "convergence_report_weak": lambda: (convergence_report, _family(p=0)),
     "assemble_optimal_coupling": lambda: (
         assemble_optimal_coupling, (lambda a, b, table: (table, a, b))(*_solved())
     ),
