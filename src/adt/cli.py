@@ -349,7 +349,7 @@ def _cmd_coupling(args) -> int:
     value, table = aw_distance(a, b)
     coupling = assemble_optimal_coupling(table, a, b)
     cost = coupling.expected_cost()
-    print(f"optimal coupling: {len(coupling.weights)} support pairs")
+    print(f"optimal coupling: {len(coupling)} support pairs")
     print(f"expected path cost = {_number_text(cost)}")
     print(f"matches adapted cost: {cost == value}")
     _emit(args, "coupling.json", _dump(coupling.to_document()))

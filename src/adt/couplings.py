@@ -11,6 +11,7 @@ tolerance.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Mapping
@@ -68,40 +69,75 @@ __all__ = [
 
 
 class PathCoupling:
-    """Joint law on leaf pairs with exact marginal bookkeeping."""
+    """Joint law on leaf pairs with exact marginal bookkeeping.
+
+    The support is held as ints over one denominator D: ``_support`` maps
+    each (left leaf, right leaf) pair, in the order given, to its positive
+    weight times D, and ``_scale`` is D.  The constructor compiles
+    ``weights`` once (D is the lcm of their denominators; zero weights are
+    dropped and a negative one raises); ``load_coupling`` and
+    ``assemble_optimal_coupling`` pass ints directly.  ``_probs`` holds each
+    tree's node probabilities as ints over one denominator (``_node_ints``),
+    against which marginals are checked on integers (``_validate_marginals``)
+    and causality too (``check_causal``).  The public ``weights`` mapping of
+    ``Fraction``s is built from the ints on first read.
+    """
 
     def __init__(self, left: FilteredTree, right: FilteredTree, weights: Mapping):
+        ints, scale = _integers([Fraction(w) for w in weights.values()])
+        self._bind(left, right, dict(zip(weights, ints)), scale)
+
+    @classmethod
+    def _of_ints(cls, left: FilteredTree, right: FilteredTree, support: dict, scale: int) -> "PathCoupling":
+        """The coupling with weight ``w / scale`` at each ``(l, r): w`` of ``support``."""
+        pi = cls.__new__(cls)
+        pi._bind(left, right, support, scale)
+        return pi
+
+    def _bind(self, left: FilteredTree, right: FilteredTree, support: dict, scale: int) -> None:
         left.config.require_same_shape(right.config, "PathCoupling")
         self.left = left
         self.right = right
-        cleaned: dict[tuple[str, str], Fraction] = {}
-        for (l, r), w in weights.items():
-            w = Fraction(w)
+        for (l, r), w in support.items():
             if w < 0:
                 raise TreeValidationError(f"coupling weight at ({l!r}, {r!r}) is negative")
-            if w > 0:
-                cleaned[(l, r)] = w
-        self.weights = cleaned
+        self._support = {key: w for key, w in support.items() if w}
+        self._scale = scale
+        self._probs = (_node_ints(left), _node_ints(right))
         self._validate_marginals()
 
+    @functools.cached_property
+    def weights(self) -> dict[tuple[str, str], Fraction]:
+        """The support as a ``Fraction`` mapping, in the order it was given."""
+        scale = self._scale
+        return {key: Fraction(w, scale) for key, w in self._support.items()}
+
+    def __len__(self) -> int:
+        """The number of support pairs."""
+        return len(self._support)
+
     def _validate_marginals(self) -> None:
-        left_mass: dict[str, Fraction] = {}
-        right_mass: dict[str, Fraction] = {}
-        left_leaves = set(self.left.leaves())
-        right_leaves = set(self.right.leaves())
-        for (l, r), w in self.weights.items():
-            if l not in left_leaves:
+        """Each leaf's coupling mass, an int over D, against its probability
+        in its tree, an int over that tree's denominator, by cross-products.
+        Raises at the first pair naming an unknown leaf (left before right),
+        then at the first mismatched leaf, left tree first, in level order."""
+        mass_l, mass_r = (dict.fromkeys(tree.leaves(), 0) for tree in (self.left, self.right))
+        for (l, r), w in self._support.items():
+            if l not in mass_l:
                 raise TreeValidationError(f"{l!r} is not a leaf of the left tree", l)
-            if r not in right_leaves:
+            if r not in mass_r:
                 raise TreeValidationError(f"{r!r} is not a leaf of the right tree", r)
-            left_mass[l] = left_mass.get(l, Fraction(0)) + w
-            right_mass[r] = right_mass.get(r, Fraction(0)) + w
-        for side, tree, mass in (("left", self.left, left_mass), ("right", self.right, right_mass)):
-            for leaf in tree.leaves():
-                if mass.get(leaf, Fraction(0)) != tree.prob(leaf):
+            mass_l[l] += w
+            mass_r[r] += w
+        scale = self._scale
+        for side, tree, mass, (prob, d) in zip(
+            ("left", "right"), (self.left, self.right), (mass_l, mass_r), self._probs
+        ):
+            for leaf, m in mass.items():
+                if m * d != prob[leaf] * scale:
                     raise TreeValidationError(
                         f"{side} marginal mismatch at leaf {leaf!r}: "
-                        f"{mass.get(leaf, Fraction(0))} vs {tree.prob(leaf)}",
+                        f"{Fraction(m, scale)} vs {tree.prob(leaf)}",
                         leaf,
                     )
 
@@ -113,11 +149,11 @@ class PathCoupling:
         weak mode each path pair is truncated before averaging).
 
         Both trees' leaf paths are compiled by ``_compile_paths``, as plain
-        transport compiles them, and the weights become ints over D, the
-        lcm of their denominators.  With exact costs each cell is an int
-        over ``L**p`` (weak mode clips it at L) and the total is one
-        ``Fraction``.  At non-integer orders the cells are the float path
-        costs, added as the sum of ``w * path_cost`` adds them.
+        transport compiles them, and the weights are the ints over D.  With
+        exact costs each cell is an int over ``L**p`` (weak mode clips it at
+        L) and the total is one ``Fraction``.  At non-integer orders the
+        cells are the float path costs, added as the sum of
+        ``w * path_cost`` adds them.
         """
         left, right = self.left, self.right
         rows_l, rows_r, unit, cost = _compile_paths(
@@ -126,8 +162,8 @@ class PathCoupling:
             [right.value_path(leaf) for leaf in right.leaves()],
         )
         row_l, row_r = dict(zip(left.leaves(), rows_l)), dict(zip(right.leaves(), rows_r))
-        cells = [cost(row_l[l], row_r[r]) for l, r in self.weights]
-        weights, scale = _integers(list(self.weights.values()))
+        cells = [cost(row_l[l], row_r[r]) for l, r in self._support]
+        weights, scale = self._support.values(), self._scale
         if unit is None:
             return sum((w / scale * c for w, c in zip(weights, cells)), 0.0)
         if left.config.is_weak:
@@ -135,17 +171,37 @@ class PathCoupling:
         return Fraction(sum(map(mul, weights, cells)), scale * unit)
 
     def to_document(self) -> dict:
+        scale = self._scale
         return {
             "left_tree": self.left.to_document(),
             "right_tree": self.right.to_document(),
             "support": [
-                {"left": l, "right": r, "weight": str(w)}
-                for (l, r), w in self.support_items()
+                {"left": l, "right": r, "weight": _ratio_text(w, scale)}
+                for (l, r), w in sorted(self._support.items())
             ],
         }
 
 
+def _node_ints(tree: FilteredTree) -> tuple[dict[str, int], int]:
+    """``(ints, d)``: every node's probability as an int over ``d``, the lcm
+    of the leaf probabilities' denominators (a node's probability is the sum
+    of its leaves', so ``d`` is a multiple of every node's denominator)."""
+    ids = [nid for t in range(1, tree.config.num_steps + 1) for nid in tree.level(t)]
+    ints, d = _integers([tree.prob(nid) for nid in ids])
+    return dict(zip(ids, ints)), d
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ints, without building the ``Fraction``."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def load_coupling(document) -> PathCoupling:
+    """A coupling document's trees and support.  Each distinct weight string
+    is parsed once; the weights are put over the lcm D of their
+    denominators, and a repeated (left, right) pair's weights are added as
+    ints over D."""
     document = _json_object(document, "coupling", ("left_tree", "right_tree", "support"))
     left = load_tree(document["left_tree"])
     right = load_tree(document["right_tree"])
@@ -153,16 +209,20 @@ def load_coupling(document) -> PathCoupling:
     if not _is_array(support):
         raise DocumentError("'support' must be an array")
     parse_weight = _memoized(parse_probability)
-    weights = {}
+    keys, values = [], []
     for entry in support:
-        if not _is_object(entry) or not {"left", "right", "weight"} <= set(entry):
+        if not _is_object(entry) or not ("left" in entry and "right" in entry and "weight" in entry):
             raise DocumentError("each support entry needs 'left', 'right', 'weight'")
-        key = (entry["left"], entry["right"])
-        if not all(isinstance(cid, str) and cid for cid in key):
+        l, r = entry["left"], entry["right"]
+        if not (isinstance(l, str) and l and isinstance(r, str) and r):
             raise DocumentError("support entry ids must be non-empty strings")
-        weight = parse_weight(entry["weight"])
-        weights[key] = weights[key] + weight if key in weights else weight
-    return PathCoupling(left, right, weights)
+        keys.append((l, r))
+        values.append(parse_weight(entry["weight"]))
+    ints, scale = _integers(values)
+    weights: dict[tuple[str, str], int] = {}
+    for key, w in zip(keys, ints):
+        weights[key] = weights[key] + w if key in weights else w
+    return PathCoupling._of_ints(left, right, weights, scale)
 
 
 # -- causality ----------------------------------------------------------------
@@ -201,46 +261,62 @@ def check_causal(pi: PathCoupling, direction: str = "left_to_right") -> Causalit
 
     For ``left_to_right`` the right process may not anticipate the left one:
     conditionally on the left past at every time t, the full left path gives
-    no extra information about right atoms at time t.  The test compares
-    conditional probabilities atom by atom in exact arithmetic, without
-    dividing.  It relies on ``PathCoupling``'s validated marginals: the
-    coupling mass of an own node is its probability in its tree.
+    no extra information about right atoms at time t.  With ``fine(l, b)``
+    the coupling mass of an own leaf l and an other node b at time t,
+    ``coarse(a, b)`` that of l's time-t ancestor a and b, and P(x) the
+    probability of x in its own tree, the test is the cross-product
+    ``fine(l, b) * P(a) == coarse(a, b) * P(l)`` for every b met under a.
+    It relies on ``PathCoupling``'s validated marginals: the coupling mass
+    of an own node is P.  Masses are the coupling's ints over D and P the
+    tree's ints over one denominator, so both sides are ints, compared
+    exactly and without division.
 
     Returns the first violation as (time, own leaf, other node at that
     time), in the order of time ascending, then own leaf id, then other
     node id.
     """
     if direction == "left_to_right":
-        own, other = pi.left, pi.right
-        pairs = pi.weights.items()
+        own, other, support = pi.left, pi.right, pi._support
+        prob = pi._probs[0][0]
     elif direction == "right_to_left":
         own, other = pi.right, pi.left
-        pairs = [((r, l), w) for (l, r), w in pi.weights.items()]
+        support = {(r, l): w for (l, r), w in pi._support.items()}
+        prob = pi._probs[1][0]
     else:
         raise SolverError(f"unknown direction {direction!r}")
 
-    # fine masses keyed (own ancestor a, own leaf l, other ancestor b) per time
-    levels = _masses_up(
-        {(l, l, r): w for (l, r), w in pairs},
-        lambda key: (own.parent(key[0]), key[1], other.parent(key[2])),
-        own.config.num_steps,
-    )
-    for t, fine in enumerate(levels[:-1], 1):
-        coarse: dict[tuple[str, str], Fraction] = {}
-        targets: dict[str, set[str]] = {}
-        ancestor: dict[str, str] = {}
-        for (a, l, b), w in fine.items():
-            coarse[(a, b)] = coarse[(a, b)] + w if (a, b) in coarse else w
-            targets.setdefault(a, set()).add(b)
-            ancestor[l] = a
-        ordered = {a: sorted(bs) for a, bs in targets.items()}
-        for l in sorted(ancestor):
-            a = ancestor[l]
-            for b in ordered[a]:
-                lhs = fine.get((a, l, b), Fraction(0)) * own.prob(a)
-                if lhs != coarse[(a, b)] * own.prob(l):
+    own_at = _ancestors(own, {l for l, _ in support})
+    other_at = _ancestors(other, {r for _, r in support})
+    leaves = sorted(own_at[-1])
+    for t, own_t, other_t in zip(range(1, own.config.num_steps), own_at, other_at):
+        fine: dict[tuple[str, str], int] = {}
+        coarse: dict[tuple[str, str], int] = {}
+        for (l, r), w in support.items():
+            b = other_t[r]
+            key = (l, b)
+            fine[key] = fine.get(key, 0) + w
+            key = (own_t[l], b)
+            coarse[key] = coarse.get(key, 0) + w
+        targets: dict[str, list[str]] = {}
+        for a, b in sorted(coarse):
+            targets.setdefault(a, []).append(b)
+        for l in leaves:
+            a = own_t[l]
+            p_a, p_l = prob[a], prob[l]
+            for b in targets[a]:
+                if fine.get((l, b), 0) * p_a != coarse[a, b] * p_l:
                     return CausalityReport(ok=False, witness=(t, l, b))
     return CausalityReport(ok=True, witness=None)
+
+
+def _ancestors(tree: FilteredTree, leaves) -> list[dict[str, str]]:
+    """Entry t-1 maps each of ``leaves`` to its ancestor at time t, for
+    t = 1..N (the last entry is the identity)."""
+    levels = [{leaf: leaf for leaf in leaves}]
+    for _ in range(tree.config.num_steps - 1):
+        levels.append({leaf: tree.parent(x) for leaf, x in levels[-1].items()})
+    levels.reverse()
+    return levels
 
 
 def check_bicausal(pi: PathCoupling) -> BicausalReport:
@@ -260,37 +336,52 @@ def assemble_optimal_coupling(
     Atom-level plans are split proportionally over the tree children
     realizing each atom, which preserves marginals exactly and keeps the
     coupling bicausal; its expected path cost equals the table value.
+
+    The walk runs on ints.  A node pair (u, v) at time t carries its mass as
+    a reduced ratio num/den.  Its atoms' plan gives a child atom pair weight
+    w / D_t, and their successor laws in ``table.compiled`` give each child
+    atom mass m / D_t, so children cu, cv with tree probabilities q and r
+    get ``num * w * q * r * D_t / (den * m_cu * m_cv)``, reduced by one gcd.
+    Leaf pairs come out level by level in depth-first order, and reach
+    ``PathCoupling`` as ints over the lcm of their denominators; no
+    ``Fraction`` is built.
     """
     res_a, res_b = table.check_matches(a, b)
-
-    weights: dict[tuple[str, str], Fraction] = {}
-    # node pairs level by level, each with its mass, the plan between the
-    # successor laws of its atoms and those laws, which hold the mass of
-    # each child atom among the node's children; leaf pairs come out in
-    # depth-first order
-    level = [(None, None, Fraction(1), table.root_plan, res_a.form.law, res_b.form.law)]
-    while level:
+    comp = table.compiled
+    atom_a, atom_b = res_a.node_atom, res_b.node_atom
+    last = a.config.num_steps - 1
+    leaves: dict[tuple[str, str], tuple[int, int]] = {}
+    # node pairs of one level: ids, mass, the plan between the successor
+    # laws of their atoms, and the atoms
+    level = [(None, None, 1, 1, table.root_plan, *comp.roots)]
+    for t in range(last + 1):
+        d = comp.scales[t]
         nxt = []
-        for u, v, weight, plan, law_a, law_b in level:
-            mass_a = dict(law_a)
-            mass_b = dict(law_b)
-            plan_map = {(x, y): w for x, y, w in plan}
+        for u, v, num, den, plan, x, y in level:
+            mass_a, mass_b = dict(comp.laws[x]), dict(comp.laws[y])
+            share = {(p, q): w.numerator * (d // w.denominator) for p, q, w in plan}
+            cols = [
+                (cv, atom_b[cv], r.numerator, r.denominator * mass_b[atom_b[cv]])
+                for cv, r in b.children(v)
+            ]
             for cu, q in a.children(u):
-                atom_u = res_a.node_atom[cu]
-                for cv, r in b.children(v):
-                    atom_v = res_b.node_atom[cv]
-                    base = plan_map.get((atom_u, atom_v), Fraction(0))
-                    if base == 0:
+                x_u = atom_a[cu]
+                row_num, row_den = num * q.numerator * d, den * q.denominator * mass_a[x_u]
+                for cv, y_v, r_num, r_den in cols:
+                    w = share.get((x_u, y_v))
+                    if not w:
                         continue
-                    w = weight * base * (q / mass_a[atom_u]) * (r / mass_b[atom_v])
-                    child_a = a.node(cu)
-                    if child_a.is_leaf:
-                        weights[(cu, cv)] = w
+                    w_num, w_den = row_num * w * r_num, row_den * r_den
+                    g = math.gcd(w_num, w_den)
+                    if t == last:
+                        leaves[cu, cv] = w_num // g, w_den // g
                     else:
-                        plan_uv = table.entry(child_a.time, atom_u, atom_v).plan
-                        nxt.append((cu, cv, w, plan_uv, atom_u.law, atom_v.law))
+                        plan_uv = table.levels[t][x_u, y_v].plan
+                        nxt.append((cu, cv, w_num // g, w_den // g, plan_uv, x_u, y_v))
         level = nxt
-    return PathCoupling(a, b, weights)
+    scale = math.lcm(*{den for _, den in leaves.values()})
+    support = {key: num * (scale // den) for key, (num, den) in leaves.items()}
+    return PathCoupling._of_ints(a, b, support, scale)
 
 
 # -- product process ------------------------------------------------------------

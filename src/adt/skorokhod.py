@@ -211,10 +211,10 @@ def _lp(comp, cfg: MetricConfig):
     """Integral of the path cost under the shared coordinates: the north-west
     corner coupling in canonical order, composed stage by stage on the
     compiled ints (``_composer``).  In weak mode each path's cost is clipped
-    at 1, so the common boxes are summed with their volumes instead."""
+    at 1, so the common boxes are summed with their volumes instead
+    (``_weak_walk``)."""
     if cfg.is_weak:
-        total = sum(volume * min(cost, comp.unit) for volume, _, cost in _common_boxes(comp))
-        return Fraction(total, comp.products[0] * comp.unit)
+        return _weak_walk(comp)[0]
     return _composer(comp)(
         lambda pair: [((u, v), w) for u, v, w in _overlap_laws(comp.wide[pair[0]], comp.wide[pair[1]])]
     )
@@ -222,14 +222,35 @@ def _lp(comp, cfg: MetricConfig):
 
 def _grid_max(comp, cfg: MetricConfig):
     """(gap, point) of the first largest path distance over the box midpoints."""
-    best = None
-    for _, point, cost in _common_boxes(comp):
-        gap = cfg.root_cost(cost if comp.unit is None else Fraction(cost, comp.unit))
-        if best is None or gap > best[0]:
-            best = gap, point
-    if best is None:
+    if cfg.is_weak:
+        return _weak_walk(comp)[1]
+    gap = point = None
+    for _, box, cost in _common_boxes(comp):
+        box_gap = cfg.root_cost(cost if comp.unit is None else Fraction(cost, comp.unit))
+        if point is None or box_gap > gap:
+            gap, point = box_gap, box
+    return _grid_point(gap, point)
+
+
+def _weak_walk(comp):
+    """Weak mode's ``(lp, (gap, point))`` from one walk of the common boxes.
+    Each box's cost, an int over ``unit``, is clipped at ``unit`` (the path
+    metric truncated at 1).  ``lp`` sums the clipped costs by volume; the
+    gap is the first largest clipped cost, compared as ints."""
+    unit, total, best, point = comp.unit, 0, -1, None
+    for volume, box, cost in _common_boxes(comp):
+        cost = min(cost, unit)
+        total += volume * cost
+        if cost > best:
+            best, point = cost, box
+    return Fraction(total, comp.products[0] * unit), _grid_point(Fraction(best, unit), point)
+
+
+def _grid_point(gap, point):
+    """``(gap, point)`` with the winning midpoint as ``Fraction``s."""
+    if point is None:
         raise SolverError("gap diagnostic found no boxes (empty representation)")
-    return best[0], tuple(Fraction(n, d) for n, d in best[1])
+    return gap, tuple(Fraction(n, d) for n, d in point)
 
 
 def lp_distance(f: QuantileMap, g: QuantileMap):
@@ -316,8 +337,10 @@ def convergence_report(sequence: Sequence[FilteredTree], limit: FilteredTree) ->
     for k, tree in enumerate(sequence, start=1):
         tree.config.require_same_shape(cfg, "convergence_report")
         value, table = transport.aw_distance(tree, limit)
-        lp = _lp(table.compiled, cfg)
-        gap, _ = _grid_max(table.compiled, cfg)
+        if cfg.is_weak:
+            lp, (gap, _) = _weak_walk(table.compiled)
+        else:
+            lp, (gap, _) = _lp(table.compiled, cfg), _grid_max(table.compiled, cfg)
         rows.append(
             ConvergenceRow(
                 index=k,

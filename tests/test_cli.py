@@ -1,5 +1,6 @@
 """End-to-end command-line checks: outputs, artifacts, exit codes."""
 
+import hashlib
 import json
 import random
 import sys
@@ -16,6 +17,56 @@ def write_tree(tmp_path, name, tree):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(tree.to_document()), encoding="utf-8")
     return str(path)
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of coupling.json and coupling-check.json written by the byte tests
+# below, recorded when the coupling layer still ran on ``Fraction``s; the
+# integer layer must write the same bytes.
+COUPLING_DIGESTS = {
+    ("1", 1): [
+        "3a65aa72d98cce3c5a1023ef6969378bcb47596e10900ee0b6afaafc074622d3",
+        "9128dd9c364e90b2b8b4d9e53e1764970f381426b151b1b3233901142f381c7d",
+    ],
+    ("1", 2): [
+        "ede34d09bb3e67d932349ea34b2e9a2297b9d003a5f5d287a6cba918144d49fd",
+        "9128dd9c364e90b2b8b4d9e53e1764970f381426b151b1b3233901142f381c7d",
+    ],
+    ("2", 1): [
+        "86abe79a610d5ec83a0f93a790bb990717bbf81dd84873d990e7c77ffb19e59c",
+        "9128dd9c364e90b2b8b4d9e53e1764970f381426b151b1b3233901142f381c7d",
+    ],
+    ("2", 2): [
+        "b44c47d730941db6ae82ae2121507884a24820361ced763c2ce36179455262af",
+        "9128dd9c364e90b2b8b4d9e53e1764970f381426b151b1b3233901142f381c7d",
+    ],
+    ("3/2", 1): [
+        "814160185e51ace912266132b46c50177ad04708b269bdf64dd325189b51d06d",
+        "9128dd9c364e90b2b8b4d9e53e1764970f381426b151b1b3233901142f381c7d",
+    ],
+    ("3/2", 2): [
+        "f1cd8b0a872c793e493d96b9079a90a1a49019d2ebe194d17d2e7b91d765e6bf",
+        "9128dd9c364e90b2b8b4d9e53e1764970f381426b151b1b3233901142f381c7d",
+    ],
+    ("weak", 1): [
+        "1821bbf35d8baf73d6e75004ab81c891154168f06f45f9075a624a6be75d67f0",
+        "9128dd9c364e90b2b8b4d9e53e1764970f381426b151b1b3233901142f381c7d",
+    ],
+    ("weak", 2): [
+        "f71dc88952268a6645f859f27ed4ee5dd4946e95a1161a4e099eac8a8b16b3c5",
+        "9128dd9c364e90b2b8b4d9e53e1764970f381426b151b1b3233901142f381c7d",
+    ],
+}
+ANTICIPATING_CHECK_DIGEST = "bbd0b72e37653e552e29ac27667ef8de4997796c859cc62ba0a8e9011f29bc6c"
+# convergence.json of two seeded weak families, recorded before the weak
+# rows were read off one walk of the common boxes
+WEAK_CONVERGENCE_DIGESTS = {
+    1: "a2e7b67ba45e183c4b4c89f0bdfd1fed685388b98be8e41e905764e948c5e8ae",
+    2: "c0c4f0e88c019f9f578b3a854dd8ee2c6fa105cb0b511297b354f157772a87ec",
+}
 
 
 @pytest.fixture
@@ -348,6 +399,34 @@ class TestCoupling:
         with pytest.raises(SystemExit):
             main(["coupling", x_path])
 
+    @pytest.mark.parametrize("order,d", sorted(COUPLING_DIGESTS))
+    def test_artifacts_keep_their_bytes(self, tmp_path, capsys, order, d):
+        # assembled plans and their verdicts, byte for byte, on seeded pairs
+        rng = random.Random(f"coupling-bytes-{order}-{d}")
+        a, b = helpers.random_pair(rng, d=d, n=3)
+        flag = ["--weak"] if order == "weak" else ["--p", order]
+        paths = [write_tree(tmp_path, "a", a), write_tree(tmp_path, "b", b)]
+        assert main(["coupling", *paths, *flag, "--out", str(tmp_path)]) == 0
+        plan = tmp_path / "coupling.json"
+        assert main(["coupling", "--check", str(plan), "--out", str(tmp_path)]) == 0
+        digests = [sha256(tmp_path / name) for name in ("coupling.json", "coupling-check.json")]
+        assert digests == COUPLING_DIGESTS[order, d]
+
+    def test_anticipating_verdict_keeps_its_bytes(self, tmp_path, capsys):
+        x, y = helpers.bernoulli_x(), helpers.y_eps(F(1, 10))
+        support = [
+            {"left": "a+", "right": "b++", "weight": "1/2"},
+            {"left": "a-", "right": "b--", "weight": "1/2"},
+        ]
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps({"left_tree": x.to_document(), "right_tree": y.to_document(), "support": support}),
+            encoding="utf-8",
+        )
+        assert main(["coupling", "--check", str(plan), "--out", str(tmp_path)]) == 0
+        assert "bicausal: False" in capsys.readouterr().out
+        assert sha256(tmp_path / "coupling-check.json") == ANTICIPATING_CHECK_DIGEST
+
 
 class TestGeodesic:
     def test_midpoint_tree_emitted(self, tmp_path, capsys, x_path, y_path):
@@ -393,6 +472,18 @@ class TestConvergence:
         assert csv.splitlines()[0] == "n,aw_distance,lp_distance,grid_max"
         doc = json.loads((out_dir / "convergence.json").read_text(encoding="utf-8"))
         assert [row["aw"]["exact"] for row in doc["rows"]] == ["1", "1/4", "1/16"]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_weak_report_keeps_its_bytes(self, tmp_path, capsys, d):
+        # values shrunk so that some paths are clipped at 1 and some are not
+        rng = random.Random(f"weak-convergence-bytes-{d}")
+        trees = [
+            helpers.random_tree(rng, n=3, d=d).with_values(d, lambda node: tuple(v / 12 for v in node.value))
+            for _ in range(4)
+        ]
+        paths = [write_tree(tmp_path, f"t{k}", tree) for k, tree in enumerate(trees)]
+        assert main(["convergence", *paths, "--weak", "--out", str(tmp_path)]) == 0
+        assert sha256(tmp_path / "convergence.json") == WEAK_CONVERGENCE_DIGESTS[d]
 
 
 class TestStop:

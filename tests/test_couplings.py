@@ -190,6 +190,93 @@ class TestPathCoupling:
                 },
             )
 
+    # malformed supports on bernoulli_x x bernoulli_x (leaves a+, a- of mass
+    # 1/2) and the message each raises: a negative weight first, then the
+    # first pair naming an unknown leaf (its left side before its right),
+    # then the first mismatched leaf, left tree before right, in level order
+    MALFORMED = {
+        "left_mass": (
+            [("a+", "a+", "1/4"), ("a-", "a-", "1/2"), ("a-", "a+", "1/4")],
+            "left marginal mismatch at leaf 'a+': 1/4 vs 1/2",
+        ),
+        "right_mass": (
+            [("a+", "a+", "1/4"), ("a+", "a-", "1/4"), ("a-", "a-", "1/2")],
+            "right marginal mismatch at leaf 'a+': 1/4 vs 1/2",
+        ),
+        "left_before_right": (
+            [("a+", "a+", "1/2"), ("a-", "a-", "1/4")],
+            "left marginal mismatch at leaf 'a-': 1/4 vs 1/2",
+        ),
+        "negative": (
+            [("a+", "a+", "3/4"), ("a+", "a-", "-1/4"), ("a-", "a-", "1/2")],
+            "coupling weight at ('a+', 'a-') is negative",
+        ),
+        "negative_before_unknown": (
+            [("zz", "a+", "1/2"), ("a-", "a-", "-1/2")],
+            "coupling weight at ('a-', 'a-') is negative",
+        ),
+        "unknown_left": (
+            [("a", "a+", "1/2"), ("a-", "a-", "1/2")],
+            "'a' is not a leaf of the left tree",
+        ),
+        "unknown_right": (
+            [("a+", "a+", "1/2"), ("a-", "zz", "1/2")],
+            "'zz' is not a leaf of the right tree",
+        ),
+        "unknown_both": (
+            [("zz", "a", "1/2"), ("a-", "a-", "1/2")],
+            "'zz' is not a leaf of the left tree",
+        ),
+        "unknown_in_pair_order": (
+            [("a+", "zz", "1/2"), ("yy", "a-", "1/2")],
+            "'zz' is not a leaf of the right tree",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("source", ["mapping", "document"])
+    def test_malformed_support_messages(self, case, source):
+        support, message = self.MALFORMED[case]
+        with pytest.raises(TreeValidationError) as caught:
+            self.coupling(source, support)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "support,message",
+        [
+            (
+                [("a+", "a+", "1/2"), ("a-", "a-", "1/2"), ("a+", "a+", "1/4")],
+                "left marginal mismatch at leaf 'a+': 3/4 vs 1/2",
+            ),
+            (
+                [("a+", "a-", "1/4"), ("a+", "a+", "1/2"), ("a-", "a-", "1/2"), ("a+", "a-", "-1/2")],
+                "coupling weight at ('a+', 'a-') is negative",
+            ),
+        ],
+        ids=["wrong_sum", "negative_sum"],
+    )
+    def test_repeated_pairs_are_summed_before_checks(self, support, message):
+        with pytest.raises(TreeValidationError) as caught:
+            self.coupling("document", support)
+        assert str(caught.value) == message
+
+    def test_repeated_pairs_summing_to_zero_drop_out(self):
+        support = [("a+", "a-", "1/4"), ("a+", "a+", "1/2"), ("a-", "a-", "1/2"), ("a+", "a-", "-1/4")]
+        pi = self.coupling("document", support)
+        assert pi.support_items() == [(("a+", "a+"), F(1, 2)), (("a-", "a-"), F(1, 2))]
+        assert list(pi.weights) == [("a+", "a+"), ("a-", "a-")]
+
+    @staticmethod
+    def coupling(source, support):
+        """A coupling of bernoulli_x with itself, built from ``support``
+        (left, right, weight string) triples as a ``Fraction`` mapping or
+        loaded as a document."""
+        x = helpers.bernoulli_x()
+        if source == "mapping":
+            return PathCoupling(x, x, {(l, r): F(w) for l, r, w in support})
+        entries = [{"left": l, "right": r, "weight": w} for l, r, w in support]
+        return load_coupling({"left_tree": x.to_document(), "right_tree": x.to_document(), "support": entries})
+
     def test_document_round_trip(self):
         x = helpers.bernoulli_x()
         y = helpers.y_eps(F(1, 100))

@@ -295,6 +295,24 @@ class TestConvergence:
                 assert type(row.lp) is type(lp) and row.lp == lp
                 assert type(row.grid_max) is type(gap) and row.grid_max == gap
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_weak_rows_match_the_references(self, d):
+        # weak rows come from one walk of each member's common boxes; values
+        # are shrunk so that some paths are clipped at 1 and some are not
+        rng = random.Random(f"weak-report-{d}")
+        for _ in range(3):
+            limit, *members = [
+                t.with_values(d, lambda node: tuple(v / 12 for v in node.value))
+                for _ in range(2)
+                for t in helpers.random_pair(rng, p=0, d=d, n=3)
+            ]
+            report = convergence_report(members, limit)
+            q_limit = quantile_map(limit)
+            for row, member in zip(report.rows, members):
+                q_member = quantile_map(member)
+                assert row.lp == helpers.reference_lp(q_member, q_limit)
+                assert row.grid_max == helpers.reference_gap(q_member, q_limit)[0]
+
     def test_each_pair_is_compiled_once(self, monkeypatch):
         # one compilation and two canonicalizations per member, all inside
         # aw_distance, and no quantile map

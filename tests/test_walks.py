@@ -17,6 +17,7 @@ from adt import (
     assemble_optimal_coupling,
     aw_distance,
     canonical_tree,
+    check_bicausal,
     convergence_report,
     doob,
     extend_with_randomization,
@@ -94,6 +95,11 @@ def _solved(p=1):
     return a, b, aw_distance(a, b)[1]
 
 
+def _coupling():
+    a, b, table = _solved()
+    return assemble_optimal_coupling(table, a, b)
+
+
 def _quantiles(p=1):
     a, b, _ = _solved(p)
     return quantile_map(a), quantile_map(b)
@@ -129,6 +135,7 @@ CASES = {
     "assemble_optimal_coupling": lambda: (
         assemble_optimal_coupling, (lambda a, b, table: (table, a, b))(*_solved())
     ),
+    "check_bicausal": lambda: (check_bicausal, (_coupling(),)),
     "extend_with_randomization": lambda: (extend_with_randomization, (_solved()[0], 2)),
     "verify_extension": lambda: (verify_extension, (extend_with_randomization(_solved()[0], 2),)),
     "transfer": lambda: (transfer, _transfer_inputs()),
